@@ -20,6 +20,7 @@ from .covering import check_covering_equivalences, is_covering
 from .dependence import complement_family, reducts_via_hyperplanes
 from .errors import (
     CapacityError,
+    ConditionNotSatisfiedError,
     DegenerateLatticeError,
     DegenerateMatroidError,
     DocumentError,
@@ -55,6 +56,8 @@ def load_covering_document(path: str) -> SetFamily:
         raise DocumentError(f"{path}: 'universe' must be a nonempty list")
     if any(not isinstance(e, (str, int)) for e in universe):
         raise DocumentError(f"{path}: universe elements must be strings or integers")
+    if len({str(e) for e in universe}) < len(set(universe)):
+        raise DocumentError(f"{path}: two universe elements print identically")
     if not isinstance(blocks, list) or not blocks:
         raise DocumentError(f"{path}: 'blocks' must be a nonempty list")
     for k, block in enumerate(blocks):
@@ -137,7 +140,7 @@ def _equivalence_line(report) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs (round-trip safe)
+# JSON encoders
 
 
 def lattice_json_doc(lattice: GeometricLattice) -> dict:
@@ -154,13 +157,6 @@ def lattice_json_doc(lattice: GeometricLattice) -> dict:
     }
 
 
-def lattice_from_json_doc(doc: dict) -> GeometricLattice:
-    ground = GroundSet(tuple(doc["universe"]))
-    flats = [frozenset(item["members"]) for item in doc["flats"]]
-    heights = [int(item["height"]) for item in doc["flats"]]
-    return GeometricLattice.from_flats(ground, flats, heights)
-
-
 def reducts_json_doc(ground: GroundSet, hyperplanes, complements, reducts, rank: int) -> dict:
     return {
         "universe": list(ground.elements),
@@ -169,11 +165,6 @@ def reducts_json_doc(ground: GroundSet, hyperplanes, complements, reducts, rank:
         "complements": [list(ground.sorted_members(c)) for c in complements],
         "reducts": [list(ground.sorted_members(r)) for r in reducts],
     }
-
-
-def reducts_from_json_doc(doc: dict) -> tuple[GroundSet, tuple[frozenset, ...]]:
-    ground = GroundSet(tuple(doc["universe"]))
-    return ground, tuple(frozenset(r) for r in doc["reducts"])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def _guard_universe(family: SetFamily, limit: int) -> None:
 def cmd_lattice(args) -> int:
     family = load_covering_document(args.path)
     _guard_universe(family, args.max_elems)
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     lattice = build_lattice(matroid)
     covering = is_covering(family)
     if not covering:
@@ -235,7 +226,7 @@ def cmd_lattice(args) -> int:
 def cmd_reducts(args) -> int:
     family = load_covering_document(args.path)
     _guard_universe(family, args.max_elems)
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     ground = family.ground
     hyperplanes = matroid.hyperplanes()
     complements = complement_family(ground, hyperplanes)
@@ -281,13 +272,17 @@ def cmd_infosys(args) -> int:
         system = _drop_decision_column(system, args.decision)
     attr_order = system.attribute_index
     object_order = {x: i for i, x in enumerate(system.objects)}.__getitem__
-    condition = system.check_saturation_condition(max_attributes=args.max_attrs)
-    if args.force_brute or not condition:
-        method = "brute-force"
-        reducts = system.brute_force_reducts(max_attributes=args.max_attrs)
+    method = "brute-force"
+    if args.force_brute:
+        condition = system.check_saturation_condition(max_attributes=args.max_attrs)
     else:
-        method = "quotient-rule"
-        reducts = system.reducts_via_quotient(max_attributes=args.max_attrs)
+        try:  # the quotient rule runs the saturation check itself
+            reducts = system.reducts_via_quotient(max_attributes=args.max_attrs)
+            condition, method = True, "quotient-rule"
+        except ConditionNotSatisfiedError:
+            condition = False
+    if method == "brute-force":
+        reducts = system.brute_force_reducts(max_attributes=args.max_attrs)
 
     if args.json:
         doc = {

@@ -59,7 +59,7 @@ class Covering:
 
     @cached_property
     def matroid(self) -> TransversalMatroid:
-        return TransversalMatroid(self.family, memoize=True)
+        return TransversalMatroid(self.family)
 
     @cached_property
     def _singleton_closure_masks(self) -> tuple[int, ...]:
@@ -173,7 +173,7 @@ class CoveringEquivalenceReport:
 
 def check_covering_equivalences(family: SetFamily) -> CoveringEquivalenceReport:
     """Evaluate all four covering characterizations on any nonempty-block family."""
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     ground = family.ground
     closure_masks = [matroid.closure_mask(1 << i) for i in range(len(ground))]
     image = sorted(set(closure_masks))
@@ -191,7 +191,7 @@ def check_covering_equivalences(family: SetFamily) -> CoveringEquivalenceReport:
     partition = partition and union == ground.full_mask
 
     atom_masks = {
-        m for m in matroid.flat_masks() if matroid.rank_mask(m) == 1
+        m for m, r in zip(matroid.flat_masks(), matroid.flat_ranks()) if r == 1
     }
 
     return CoveringEquivalenceReport(

@@ -3,7 +3,7 @@
 Meet is intersection, join is the least flat containing the union, and the
 height of a flat equals its matroid rank, which makes the lattice graded.
 The structure is self-contained: once built it answers order queries without
-the inducing matroid, so it can round-trip through serialization.
+the inducing matroid.
 """
 
 from __future__ import annotations
@@ -53,42 +53,6 @@ class GeometricLattice:
         masks = tuple(self.ground.mask_of(f) for f in self.flats)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_position", {m: i for i, m in enumerate(masks)})
-
-    @classmethod
-    def from_flats(
-        cls,
-        ground: GroundSet,
-        flats: Iterable[frozenset],
-        heights: Iterable[int],
-    ) -> "GeometricLattice":
-        """Assemble the lattice from its flats and their heights.
-
-        Covers are read off adjacent height buckets: x is covered by y iff
-        x < y and height(y) = height(x) + 1, valid because height equals rank
-        and the lattice is graded.
-        """
-        items = sorted(
-            zip(flats, heights),
-            key=lambda fh: (fh[1], tuple(sorted(map(ground.index_of, fh[0])))),
-        )
-        flats_t = tuple(f for f, _ in items)
-        heights_t = tuple(h for _, h in items)
-        masks = [ground.mask_of(f) for f in flats_t]
-        buckets: list[list[int]] = [[] for _ in range(heights_t[-1] + 2)]
-        for i, h in enumerate(heights_t):
-            buckets[h].append(i)
-        covers = tuple(
-            tuple(j for j in buckets[h + 1] if masks[i] & ~masks[j] == 0)
-            for i, h in enumerate(heights_t)
-        )
-        return cls(
-            ground=ground,
-            flats=flats_t,
-            heights=heights_t,
-            covers=covers,
-            bottom=0,
-            top=len(flats_t) - 1,
-        )
 
     # order queries ------------------------------------------------------
 
@@ -200,8 +164,12 @@ class GeometricLattice:
 
 def build_lattice(matroid: TransversalMatroid) -> GeometricLattice:
     """Materialize the full lattice of flats of ``matroid``."""
-    ground = matroid.ground
     masks = matroid.flat_masks()
-    flats = [ground.subset_of(m) for m in masks]
-    heights = [matroid.rank_mask(m) for m in masks]
-    return GeometricLattice.from_flats(ground, flats, heights)
+    return GeometricLattice(
+        ground=matroid.ground,
+        flats=tuple(matroid.ground.subset_of(m) for m in masks),
+        heights=matroid.flat_ranks(),
+        covers=matroid.flat_covers(),
+        bottom=0,
+        top=len(masks) - 1,
+    )

@@ -4,7 +4,8 @@ A family of nonempty blocks over a finite ground set induces a matroid whose
 independent sets are the partial transversals of the family: the subsets that
 can be matched injectively into blocks containing them.  Rank is therefore a
 maximum bipartite matching size, and the closure of a subset collects every
-element whose arrival cannot enlarge that matching.
+element whose arrival cannot enlarge that matching.  One pass over the flats,
+rank by rank, yields them together with their ranks and Hasse covers.
 
 All subset arithmetic runs on bitmask encodings with a stable element-to-bit
 numbering, so enumeration order is deterministic for a fixed ground order.
@@ -120,15 +121,15 @@ class SetFamily:
 class TransversalMatroid:
     """Matroid whose independent sets are the partial transversals of a family.
 
-    Rank queries run an augmenting-path maximum matching between elements and
-    the blocks containing them; closure queries reuse one maximum matching and
-    test, per outside element, whether an augmenting path from it exists.
-    Instances are immutable after construction and safe to share between
-    threads.  ``memoize=True`` adds per-subset rank/closure caches keyed by
-    bitmask, useful when a caller sweeps many overlapping subsets.
+    Rank is the size of a maximum matching of elements into blocks containing
+    them.  Closure sweeps one maximum matching of the subset: a block is
+    free-reaching when it is unmatched or its owner lies in a free-reaching
+    block, and the closure adds every element touching no free-reaching block.
+    The first :meth:`flat_masks` call enumerates the flats with their ranks
+    and Hasse covers; apart from that record, instances are immutable.
     """
 
-    def __init__(self, family: SetFamily, *, memoize: bool = False):
+    def __init__(self, family: SetFamily):
         self.family = family
         self.ground = family.ground
         element_blocks: list[list[int]] = [[] for _ in range(len(self.ground))]
@@ -136,22 +137,36 @@ class TransversalMatroid:
             for i in iter_bits(mask):
                 element_blocks[i].append(b)
         self._element_blocks = tuple(tuple(bs) for bs in element_blocks)
-        self._rank_cache: dict[int, int] | None = {} if memoize else None
-        self._closure_cache: dict[int, int] | None = {} if memoize else None
-        self._flat_mask_cache: tuple[int, ...] | None = None
+        self._flat_record: tuple | None = None  # (masks, ranks, covers)
         self.ground_rank = self.rank_mask(self.ground.full_mask)
 
     # mask-level core --------------------------------------------------
 
-    def _augment(self, i: int, owner: list[int], seen: set[int]) -> bool:
-        """Try to match element ``i``, displacing owners along alternating paths."""
-        for b in self._element_blocks[i]:
-            if b in seen:
+    def _augment(self, i: int, owner: list[int]) -> bool:
+        """Try to match element ``i``, displacing owners along alternating paths.
+
+        Depth-first, blocks in ascending order, each visited once; the explicit
+        stack lets alternating paths grow longer than the recursion limit.
+        """
+        seen = 0
+        stack = [(i, iter(self._element_blocks[i]))]
+        path: list[int] = []  # path[k]: the block stack[k] moves into
+        while stack:
+            for b in stack[-1][1]:
+                if not seen >> b & 1:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
-            seen.add(b)
-            if owner[b] < 0 or self._augment(owner[b], owner, seen):
-                owner[b] = i
+            seen |= 1 << b
+            path.append(b)
+            if owner[b] < 0:
+                for (element, _), block in zip(stack, path):
+                    owner[block] = element
                 return True
+            stack.append((owner[b], iter(self._element_blocks[owner[b]])))
         return False
 
     def _matching(self, mask: int) -> list[int]:
@@ -161,61 +176,81 @@ class TransversalMatroid:
         """
         owner = [-1] * self.family.size
         for i in iter_bits(mask):
-            self._augment(i, owner, set())
+            self._augment(i, owner)
         return owner
 
+    def _closed(self, mask: int, owner: list[int]) -> int:
+        """Closure of ``mask``, given a maximum matching ``owner`` of it."""
+        blocks = self.family.block_masks
+        reached = 0  # elements touching a free-reaching block
+        grew = True
+        while grew:
+            grew = False
+            for b, i in enumerate(owner):
+                if (i < 0 or reached >> i & 1) and blocks[b] & ~reached:
+                    reached |= blocks[b]
+                    grew = True
+        return mask | (self.ground.full_mask & ~reached)
+
     def rank_mask(self, mask: int) -> int:
-        if self._rank_cache is not None and mask in self._rank_cache:
-            return self._rank_cache[mask]
-        rank = sum(1 for i in self._matching(mask) if i >= 0)
-        if self._rank_cache is not None:
-            self._rank_cache[mask] = rank
-        return rank
+        return sum(1 for i in self._matching(mask) if i >= 0)
 
     def closure_mask(self, mask: int) -> int:
-        if self._closure_cache is not None and mask in self._closure_cache:
-            return self._closure_cache[mask]
-        owner = self._matching(mask)
-        closed = mask
-        for i in iter_bits(self.ground.full_mask & ~mask):
-            # adding i preserves the rank iff no augmenting path starts at i
-            if not self._augment(i, owner.copy(), set()):
-                closed |= 1 << i
-        if self._closure_cache is not None:
-            self._closure_cache[mask] = closed
-        return closed
+        return self._closed(mask, self._matching(mask))
 
     def flat_masks(self) -> tuple[int, ...]:
         """All closed sets, sorted by (rank, member indices).
 
-        Generated breadth-first from the closure of the empty set: closing
-        ``flat + one element`` yields a covering flat, and every flat is
-        reachable that way.  This touches each flat once instead of closing
-        all 2**n subsets.
+        The first call enumerates them rank by rank from the closure of the
+        empty set.  Each flat F carries a maximum matching, which one
+        augmenting path grows into a matching of cl(F + e).  The covers of F
+        partition the elements outside F, so each cover is closed once and
+        recorded as a Hasse edge (see :meth:`flat_ranks`, :meth:`flat_covers`).
         """
-        if self._flat_mask_cache is None:
-            bottom = self.closure_mask(0)
-            seen = {bottom}
-            stack = [bottom]
+        if self._flat_record is None:
             full = self.ground.full_mask
-            while stack:
-                flat = stack.pop()
-                for i in iter_bits(full & ~flat):
-                    bigger = self.closure_mask(flat | (1 << i))
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        stack.append(bigger)
-            ordered = sorted(
-                seen, key=lambda m: (self.rank_mask(m), tuple(iter_bits(m)))
-            )
-            self._flat_mask_cache = tuple(ordered)
-        return self._flat_mask_cache
+            unmatched = [-1] * self.family.size
+            level = {self._closed(0, unmatched): unmatched}
+            masks: list[int] = []
+            ranks: list[int] = []
+            ups: list[list[int]] = []
+            while level:
+                above: dict[int, list[int]] = {}
+                for flat in sorted(level, key=lambda m: tuple(iter_bits(m))):
+                    owner = level[flat]
+                    masks.append(flat)
+                    ranks.append(len(owner) - owner.count(-1))
+                    ups.append([])
+                    rest = full & ~flat
+                    while rest:
+                        bit = rest & -rest
+                        grown = owner.copy()
+                        self._augment(bit.bit_length() - 1, grown)
+                        cover = self._closed(flat | bit, grown)
+                        rest &= ~cover
+                        ups[-1].append(cover)
+                        above.setdefault(cover, grown)
+                level = above
+            position = {m: k for k, m in enumerate(masks)}
+            covers = tuple(tuple(sorted(position[c] for c in cs)) for cs in ups)
+            self._flat_record = (tuple(masks), tuple(ranks), covers)
+        return self._flat_record[0]
+
+    def flat_ranks(self) -> tuple[int, ...]:
+        """Rank of each flat, position for position with :meth:`flat_masks`."""
+        self.flat_masks()
+        return self._flat_record[1]
+
+    def flat_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Per flat, the ascending positions in :meth:`flat_masks` of its covers."""
+        self.flat_masks()
+        return self._flat_record[2]
 
     def hyperplane_masks(self) -> tuple[int, ...]:
         if self.ground_rank == 0:
             raise DegenerateMatroidError("a rank-zero matroid has no hyperplanes")
         want = self.ground_rank - 1
-        return tuple(m for m in self.flat_masks() if self.rank_mask(m) == want)
+        return tuple(m for m, r in zip(self.flat_masks(), self.flat_ranks()) if r == want)
 
     def closure_via_hyperplanes_mask(self, mask: int) -> int:
         if self.rank_mask(mask) == self.ground_rank:

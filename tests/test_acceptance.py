@@ -217,7 +217,7 @@ def test_criterion_06_axiom_sweep():
         rng = random.Random(1006)
         for _ in range(200):
             family = random_family(rng)
-            matroid = TransversalMatroid(family, memoize=True)
+            matroid = TransversalMatroid(family)
             n = len(family.ground)
             full = family.ground.full_mask
             rank = {mask: matroid.rank_mask(mask) for mask in range(1 << n)}
@@ -286,7 +286,7 @@ def test_criterion_08_profile_equals_closure_space():
         rng = random.Random(1008)
         for _ in range(50):
             family = random_family(rng, max_elements=6)
-            matroid = TransversalMatroid(family, memoize=True)
+            matroid = TransversalMatroid(family)
             assert spaces_equal_on(matroid)
 
 
@@ -295,7 +295,7 @@ def test_criterion_09_reduct_oracle_equivalence():
         rng = random.Random(1009)
         for _ in range(50):
             family = random_family(rng, max_elements=6)
-            matroid = TransversalMatroid(family, memoize=True)
+            matroid = TransversalMatroid(family)
             reducts = reducts_via_hyperplanes(matroid)
             expected = oracles.minimal_spanning_masks(family)
             assert {family.ground.mask_of(r) for r in reducts} == expected

@@ -98,7 +98,7 @@ def test_closure_space_golden(five_point_covering):
 @given(set_families(max_elements=6), st.data())
 @settings(max_examples=75, deadline=None)
 def test_subset_related_to_its_closure(family, data):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     space = closure_space(matroid)
     subset = data.draw(subsets_of(family.ground))
     assert space.related(subset, matroid.closure(subset))
@@ -128,7 +128,7 @@ def test_spaces_equal_capacity_guard():
 @given(set_families(max_elements=6))
 @settings(max_examples=60, deadline=None)
 def test_spaces_equal_random(family):
-    assert spaces_equal_on(TransversalMatroid(family, memoize=True))
+    assert spaces_equal_on(TransversalMatroid(family))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_complement_family_golden(five_point_covering):
 @given(set_families(max_elements=6))
 @settings(max_examples=75, deadline=None)
 def test_reducts_match_minimal_spanning_oracle(family):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     reducts = reducts_via_hyperplanes(matroid)
     expected = oracles.minimal_spanning_masks(family)
     assert {family.ground.mask_of(r) for r in reducts} == expected
@@ -222,7 +222,7 @@ def test_reducts_match_minimal_spanning_oracle(family):
 @given(set_families(max_elements=6))
 @settings(max_examples=75, deadline=None)
 def test_reducts_span_minimally(family):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     full = matroid.ground.full_mask
     for reduct in reducts_via_hyperplanes(matroid):
         assert matroid.closure_mask(matroid.ground.mask_of(reduct)) == full

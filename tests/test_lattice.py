@@ -45,18 +45,20 @@ def test_build_chain():
     assert lattice.covers == ((1,), ())
 
 
-def test_build_matches_bruteforce_poset(three_block_family):
-    lattice = build_lattice(TransversalMatroid(three_block_family))
-    oracle_flats = oracles.flat_masks(three_block_family)
+@given(set_families(max_elements=5, max_blocks=4))
+@settings(max_examples=60, deadline=None)
+def test_build_matches_bruteforce_poset(family):
+    lattice = build_lattice(TransversalMatroid(family))
+    oracle_flats = oracles.flat_masks(family)
     oracle_covers = oracles.cover_pairs(oracle_flats)
-    ground = three_block_family.ground
-    built_covers = {
-        (ground.mask_of(lattice.flats[i]), ground.mask_of(lattice.flats[j]))
-        for i, ups in enumerate(lattice.covers)
-        for j in ups
-    }
-    assert len(lattice.flats) == len(oracle_flats)
+    ranks = oracles.rank_table(family)
+    ground = family.ground
+    masks = [ground.mask_of(flat) for flat in lattice.flats]
+    built_covers = {(masks[i], masks[j]) for i, ups in enumerate(lattice.covers) for j in ups}
+    assert set(masks) == oracle_flats
+    assert len(masks) == len(oracle_flats)
     assert built_covers == oracle_covers
+    assert list(lattice.heights) == [ranks[m] for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,14 @@ def test_coatoms_chain():
 def test_coatoms_degenerate_lattice():
     from latmat.lattice import GeometricLattice
 
-    ground = GroundSet((1,))
-    lattice = GeometricLattice.from_flats(ground, [frozenset({1})], [0])
+    lattice = GeometricLattice(
+        ground=GroundSet((1,)),
+        flats=(frozenset({1}),),
+        heights=(0,),
+        covers=((),),
+        bottom=0,
+        top=0,
+    )
     with pytest.raises(DegenerateLatticeError):
         lattice.coatoms()
 
@@ -155,7 +163,7 @@ def test_coatoms_degenerate_lattice():
 @given(set_families(max_elements=6))
 @settings(max_examples=75, deadline=None)
 def test_coatoms_equal_hyperplanes(family):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     lattice = build_lattice(matroid)
     assert set(lattice.coatoms()) == set(matroid.hyperplanes())
 
@@ -163,7 +171,7 @@ def test_coatoms_equal_hyperplanes(family):
 @given(set_families(max_elements=6))
 @settings(max_examples=75, deadline=None)
 def test_heights_equal_ranks(family):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     lattice = build_lattice(matroid)
     for flat, height in zip(lattice.flats, lattice.heights):
         assert height == matroid.rank(flat)
@@ -194,7 +202,7 @@ def test_verify_geometric_chain():
 @given(set_families(max_elements=6))
 @settings(max_examples=50, deadline=None)
 def test_verify_geometric_random(family):
-    lattice = build_lattice(TransversalMatroid(family, memoize=True))
+    lattice = build_lattice(TransversalMatroid(family))
     assert lattice.verify_geometric().passed
 
 

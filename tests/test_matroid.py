@@ -168,6 +168,17 @@ def test_hyperplanes_match_bruteforce(three_block_family):
     )
 
 
+def test_rank_of_long_chain():
+    # blocks {i, i+1}: matching element i first tries block i-1, whose owner
+    # is displaced down the whole chain, an alternating path of length i
+    n = 1100
+    family = SetFamily(
+        GroundSet(tuple(range(n))),
+        tuple(frozenset({i, i + 1}) for i in range(n - 1)),
+    )
+    assert TransversalMatroid(family).ground_rank == n - 1
+
+
 def test_degenerate_guard_is_unreachable_but_raises():
     family = SetFamily(GroundSet((1,)), (frozenset({1}),))
     matroid = TransversalMatroid(family)
@@ -195,7 +206,7 @@ def test_closure_via_hyperplanes_golden(five_point_covering):
 @settings(max_examples=150, deadline=None)
 def test_rank_axioms(case):
     family, x, y = case
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     rx, ry = matroid.rank(x), matroid.rank(y)
     assert 0 <= rx <= len(x)
     if x <= y:
@@ -207,7 +218,7 @@ def test_rank_axioms(case):
 @settings(max_examples=100, deadline=None)
 def test_closure_axioms(case):
     family, x = case
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     ground = family.ground
     cx = matroid.closure(x)
     assert x <= cx
@@ -224,7 +235,7 @@ def test_closure_axioms(case):
 @given(set_families(max_elements=6))
 @settings(max_examples=100, deadline=None)
 def test_independence_axioms(family):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     ground = family.ground
     independents = [
         mask
@@ -251,14 +262,14 @@ def test_independence_axioms(family):
 @settings(max_examples=100, deadline=None)
 def test_closure_routes_agree(case):
     family, x = case
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     assert matroid.closure(x) == matroid.closure_via_hyperplanes(x)
 
 
 @given(set_families(max_elements=6))
 @settings(max_examples=75, deadline=None)
 def test_flats_closed_under_intersection_and_contain_ground(family):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     masks = set(matroid.flat_masks())
     assert family.ground.full_mask in masks
     assert matroid.closure_mask(0) in masks
@@ -271,14 +282,14 @@ def test_flats_closed_under_intersection_and_contain_ground(family):
 @settings(max_examples=100, deadline=None)
 def test_rank_of_closure_equals_rank(case):
     family, x = case
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     assert matroid.rank(x) == matroid.rank(matroid.closure(x))
 
 
 @given(set_families(max_elements=5, max_blocks=4))
 @settings(max_examples=60, deadline=None)
 def test_rank_closure_flats_match_oracles(family):
-    matroid = TransversalMatroid(family, memoize=True)
+    matroid = TransversalMatroid(family)
     ranks = oracles.rank_table(family)
     closures = oracles.closure_table(family)
     for mask in range(1 << len(family.ground)):
