@@ -196,7 +196,7 @@ def cmd_lattice(args) -> int:
         doc = lattice_json_doc(lattice)
         doc["covering"] = covering
         if not covering:
-            report = check_covering_equivalences(family)
+            report = check_covering_equivalences(matroid)
             doc["covering_checks"] = {
                 "covering": report.covering,
                 "empty_set_closed": report.empty_set_closed,
@@ -219,7 +219,7 @@ def cmd_lattice(args) -> int:
     if lattice.top != lattice.bottom:
         print("coatoms:", fmt_many(ground, lattice.coatoms()))
     if not covering:
-        print(_equivalence_line(check_covering_equivalences(family)))
+        print(_equivalence_line(check_covering_equivalences(matroid)))
     return 0
 
 

@@ -171,10 +171,9 @@ class CoveringEquivalenceReport:
         return len(set(self.statements)) == 1
 
 
-def check_covering_equivalences(family: SetFamily) -> CoveringEquivalenceReport:
-    """Evaluate all four covering characterizations on any nonempty-block family."""
-    matroid = TransversalMatroid(family)
-    ground = family.ground
+def check_covering_equivalences(matroid: TransversalMatroid) -> CoveringEquivalenceReport:
+    """Evaluate all four covering characterizations on the matroid's family."""
+    ground = matroid.ground
     closure_masks = [matroid.closure_mask(1 << i) for i in range(len(ground))]
     image = sorted(set(closure_masks))
 
@@ -195,7 +194,7 @@ def check_covering_equivalences(family: SetFamily) -> CoveringEquivalenceReport:
     }
 
     return CoveringEquivalenceReport(
-        covering=is_covering(family),
+        covering=is_covering(matroid.family),
         empty_set_closed=matroid.closure_mask(0) == 0,
         closures_partition=partition,
         closures_are_atoms=set(image) == atom_masks,

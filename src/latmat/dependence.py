@@ -102,14 +102,6 @@ def spaces_equal_on(matroid: TransversalMatroid, *, max_elements: int = 12) -> b
     }
 
 
-def _inclusion_minimal(masks: Iterable[int]) -> list[int]:
-    out: list[int] = []
-    for mask in sorted(set(masks), key=lambda m: m.bit_count()):
-        if not any(kept & ~mask == 0 for kept in out):
-            out.append(mask)
-    return out
-
-
 def minimal_hitting_sets(
     ground: GroundSet, targets: Iterable[Iterable]
 ) -> tuple[frozenset, ...]:
@@ -118,8 +110,9 @@ def minimal_hitting_sets(
     Depth-first branching on the unmet target with fewest remaining options;
     within a target, elements are tried in descending hit frequency, and the
     alternatives already branched are banned below, so no hitter is generated
-    twice.  A final antichain filter drops the non-minimal strays the search
-    can emit.  With no targets at all the empty set is the unique answer.
+    twice.  A leaf is kept only when each chosen element is the sole chosen
+    member of some target; that drops the non-minimal strays the branching
+    can reach.  With no targets at all the empty set is the unique answer.
     """
     target_masks = []
     for t in targets:
@@ -140,7 +133,13 @@ def minimal_hitting_sets(
 
     def descend(chosen: int, banned: int, pending: list[int]) -> None:
         if not pending:
-            found.append(chosen)
+            private = 0
+            for t in target_masks:
+                hit = t & chosen
+                if hit & (hit - 1) == 0:
+                    private |= hit
+            if private == chosen:
+                found.append(chosen)
             return
         pivot = min(pending, key=lambda t: (t & ~banned).bit_count())
         options = sorted(iter_bits(pivot & ~banned), key=lambda i: (-frequency[i], i))
@@ -151,9 +150,8 @@ def minimal_hitting_sets(
             veto |= bit
 
     descend(0, 0, target_masks)
-    minimal = _inclusion_minimal(found)
-    minimal.sort(key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
-    return tuple(ground.subset_of(m) for m in minimal)
+    found.sort(key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+    return tuple(ground.subset_of(m) for m in found)
 
 
 def complement_family(ground: GroundSet, sets: Iterable[Iterable]) -> tuple[frozenset, ...]:

@@ -79,7 +79,7 @@ class GroundSet:
 
     def sorted_members(self, subset: Iterable) -> tuple:
         """Members of ``subset`` in ground order; validates membership."""
-        return tuple(self.elements[i] for i in iter_bits(self.mask_of(subset)))
+        return tuple(sorted(frozenset(subset), key=self.index_of))
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,7 @@ def test_criterion_07_covering_equivalences_sweep():
         rng = random.Random(1007)
         for _ in range(200):
             family = random_family(rng)
-            report = check_covering_equivalences(family)
+            report = check_covering_equivalences(TransversalMatroid(family))
             assert report.consistent
             assert report.covering == is_covering(family)
 

@@ -9,6 +9,7 @@ from latmat import (
     NotACoveringError,
     NotAFlatError,
     SetFamily,
+    TransversalMatroid,
     UnknownElementError,
     check_covering_equivalences,
     is_covering,
@@ -147,7 +148,7 @@ def test_singleton_closures_partition_covering():
 
 
 def test_non_covering_closures_not_a_partition(three_block_family):
-    report = check_covering_equivalences(three_block_family)
+    report = check_covering_equivalences(TransversalMatroid(three_block_family))
     assert not report.closures_partition
 
 
@@ -216,18 +217,18 @@ def test_approx_bounds_and_fixed_points(case):
 
 
 def test_equivalences_covering(five_point_covering):
-    report = check_covering_equivalences(five_point_covering.family)
+    report = check_covering_equivalences(five_point_covering.matroid)
     assert report.statements == (True, True, True, True)
     assert report.consistent
 
 
 def test_equivalences_partition():
-    report = check_covering_equivalences(partition_covering().family)
+    report = check_covering_equivalences(partition_covering().matroid)
     assert report.statements == (True, True, True, True)
 
 
 def test_equivalences_non_covering(three_block_family):
-    report = check_covering_equivalences(three_block_family)
+    report = check_covering_equivalences(TransversalMatroid(three_block_family))
     assert report.statements == (False, False, False, False)
     assert report.consistent
 
@@ -235,7 +236,7 @@ def test_equivalences_non_covering(three_block_family):
 @given(set_families(max_elements=7))
 @settings(max_examples=150, deadline=None)
 def test_equivalences_always_agree(family):
-    report = check_covering_equivalences(family)
+    report = check_covering_equivalences(TransversalMatroid(family))
     assert report.consistent
     assert report.covering == is_covering(family)
 

@@ -165,6 +165,17 @@ def test_hitting_sets_empty_target_rejected():
         minimal_hitting_sets(GroundSet((1, 2)), [{1}, set()])
 
 
+def test_hitting_sets_drop_branching_stray():
+    """The branching reaches {2, 3, 6} here, a superset of the answer {3, 6}."""
+    ground = GroundSet(tuple(range(7)))
+    targets = [{0, 1, 2, 3, 4}, {0, 4, 6}, {3}, {0, 2, 6}]
+    assert minimal_hitting_sets(ground, targets) == (
+        frozenset({0, 3}),
+        frozenset({3, 6}),
+        frozenset({2, 3, 4}),
+    )
+
+
 @given(set_families(max_elements=6, max_blocks=5))
 @settings(max_examples=100, deadline=None)
 def test_hitting_sets_match_scan(family):

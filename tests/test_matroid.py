@@ -27,6 +27,15 @@ def test_ground_set_rejects_empty():
         GroundSet(())
 
 
+def test_sorted_members_ground_order():
+    ground = GroundSet(("c", 3, "a", 1))
+    assert ground.sorted_members({1, "a", "c"}) == ("c", "a", 1)
+    assert ground.sorted_members([1, 3, 1]) == (3, 1)
+    assert ground.sorted_members(()) == ()
+    with pytest.raises(UnknownElementError, match="'b'"):
+        ground.sorted_members({"a", "b"})
+
+
 def test_family_rejects_empty_block():
     with pytest.raises(ValueError, match="empty"):
         SetFamily(GroundSet((1, 2)), (frozenset({1}), frozenset()))
