@@ -281,8 +281,8 @@ def cmd_infosys(args) -> int:
             condition, method = True, "quotient-rule"
         except ConditionNotSatisfiedError:
             condition = False
-    if method == "brute-force":
-        reducts = system.brute_force_reducts(max_attributes=args.max_attrs)
+    if method == "brute-force":  # the label predates the discernibility route
+        reducts = system.discernibility_reducts(max_attributes=args.max_attrs)
 
     if args.json:
         doc = {

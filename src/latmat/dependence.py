@@ -24,6 +24,7 @@ __all__ = [
     "DependenceSpace",
     "closure_space",
     "complement_family",
+    "minimal_hitting_masks",
     "minimal_hitting_sets",
     "profile_space",
     "reducts_via_hyperplanes",
@@ -107,24 +108,33 @@ def minimal_hitting_sets(
 ) -> tuple[frozenset, ...]:
     """All inclusion-minimal subsets meeting every target set.
 
+    Targets are converted to masks of ``ground`` and searched by
+    :func:`minimal_hitting_masks`; the output is sorted by (size, member
+    indices).  With no targets at all the empty set is the unique answer.
+    """
+    masks = minimal_hitting_masks([ground.mask_of(t) for t in targets])
+    return tuple(ground.subset_of(m) for m in masks)
+
+
+def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
+    """All inclusion-minimal masks meeting every target mask.
+
     Depth-first branching on the unmet target with fewest remaining options;
     within a target, elements are tried in descending hit frequency, and the
     alternatives already branched are banned below, so no hitter is generated
     twice.  A leaf is kept only when each chosen element is the sole chosen
     member of some target; that drops the non-minimal strays the branching
-    can reach.  With no targets at all the empty set is the unique answer.
+    can reach.  Output is sorted by (size, member indices); with no targets
+    the empty mask is the unique answer.
     """
-    target_masks = []
-    for t in targets:
-        mask = ground.mask_of(t)
-        if mask == 0:
-            raise EmptyTargetError("an empty target set cannot be hit")
-        target_masks.append(mask)
     target_masks = sorted(set(target_masks))
+    if target_masks and target_masks[0] == 0:
+        raise EmptyTargetError("an empty target set cannot be hit")
     if not target_masks:
-        return (frozenset(),)
+        return [0]
 
-    frequency = [0] * len(ground)
+    width = target_masks[-1].bit_length()
+    frequency = [0] * width
     for t in target_masks:
         for i in iter_bits(t):
             frequency[i] += 1
@@ -150,8 +160,18 @@ def minimal_hitting_sets(
             veto |= bit
 
     descend(0, 0, target_masks)
-    found.sort(key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
-    return tuple(ground.subset_of(m) for m in found)
+    found.sort(key=_size_then_members(width))
+    return found
+
+
+def _size_then_members(width: int) -> Callable[[int], tuple[int, int]]:
+    # Sort key equal in order to (size, member indices) for masks below
+    # 2**width: within one size, ascending member tuples are descending
+    # bit-reversed masks, and one int conversion is cheaper than a tuple.
+    def key(mask: int) -> tuple[int, int]:
+        return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
+
+    return key
 
 
 def complement_family(ground: GroundSet, sets: Iterable[Iterable]) -> tuple[frozenset, ...]:

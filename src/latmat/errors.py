@@ -42,7 +42,7 @@ class EmptyTargetError(LatmatError, ValueError):
 
 
 class ConditionNotSatisfiedError(LatmatError, ValueError):
-    """The quotient-rule precondition failed; use the brute-force route."""
+    """The quotient-rule precondition failed; use the discernibility route."""
 
 
 class CapacityError(LatmatError, RuntimeError):

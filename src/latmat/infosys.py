@@ -5,7 +5,11 @@ minimal subset inducing the same partition as the full attribute set.  When
 attribute subsets with equal partitions always saturate to the same blocks
 of the attribute quotient (attributes grouped by equal single-attribute
 partitions), the reducts are exactly the one-element-per-block selections.
-A guarded power-set scan serves as the general fallback and as the oracle.
+That condition is decided from k + 1 partition keys, k being the number of
+quotient blocks.  In general the reducts are the minimal hitting sets of the
+discernibility matrix (Skowron & Rauszer, 1992): one mask per pair of
+distinct rows, marking the attributes on which the two rows differ.  A
+guarded power-set scan survives as the oracle for both routes.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable
 
+from .dependence import minimal_hitting_masks
 from .errors import (
     CapacityError,
     ConditionNotSatisfiedError,
@@ -87,11 +92,13 @@ class InformationSystem:
         return tuple(sorted({self.attribute_index(a) for a in attrs}))
 
     def _partition_key_of_mask(self, mask: int) -> tuple[int, ...]:
-        js = tuple(iter_bits(mask))
+        if mask & (mask - 1) == 0:
+            # no attribute or a single one, whose canonical column is its key
+            return self._columns[mask.bit_length() - 1] if mask else (0,) * len(self.objects)
         ids: dict = {}
         return tuple(
-            ids.setdefault(tuple(self._columns[j][i] for j in js), len(ids))
-            for i in range(len(self.objects))
+            ids.setdefault(row, len(ids))
+            for row in zip(*(self._columns[j] for j in iter_bits(mask)))
         )
 
     def partition_key(self, attrs: Iterable) -> tuple[int, ...]:
@@ -136,38 +143,31 @@ class InformationSystem:
                 out |= block
         return frozenset(out)
 
-    def _saturation_mask(self, mask: int, block_masks: tuple[int, ...]) -> int:
-        out = 0
-        for bm in block_masks:
-            if bm & mask:
-                out |= bm
-        return out
-
     # the quotient-rule precondition ---------------------------------------
 
     def check_saturation_condition(self, *, max_attributes: int = 15) -> bool:
         """True when equal partitions always force equal saturations.
 
-        Groups the attribute power set by partition signature and verifies
-        every group shares one saturation; a single 2**m pass instead of the
-        quadratic pairwise test.  Guarded by ``max_attributes``.
+        Every attribute set induces the partition of its saturation, so the
+        condition holds iff distinct unions of quotient blocks induce
+        distinct partitions.  That fails iff dropping some block's
+        representative from a set R of one representative per block leaves
+        the partition of R unchanged, so k + 1 partition keys decide it for
+        k blocks.  Guarded by ``max_attributes``.
         """
         m = len(self.attributes)
         if m > max_attributes:
             raise CapacityError(
                 f"condition check capped at {max_attributes} attributes, got {m}"
             )
-        block_masks = tuple(
-            sum(1 << self._attr_index[a] for a in block)
-            for block in self.attribute_quotient()
+        representatives = 0
+        for block in self.attribute_quotient():
+            representatives |= 1 << min(self._attr_index[a] for a in block)
+        full_key = self._partition_key_of_mask(representatives)
+        return all(
+            self._partition_key_of_mask(representatives & ~(1 << j)) != full_key
+            for j in iter_bits(representatives)
         )
-        seen: dict[tuple[int, ...], int] = {}
-        for mask in range(1 << m):
-            saturation = self._saturation_mask(mask, block_masks)
-            previous = seen.setdefault(self._partition_key_of_mask(mask), saturation)
-            if previous != saturation:
-                return False
-        return True
 
     # reducts ----------------------------------------------------------------
 
@@ -181,7 +181,7 @@ class InformationSystem:
         if not self.check_saturation_condition(max_attributes=max_attributes):
             raise ConditionNotSatisfiedError(
                 "equal partitions do not force equal saturations; "
-                "use brute_force_reducts instead"
+                "use discernibility_reducts instead"
             )
         blocks = [
             sorted(block, key=self._attr_index.__getitem__)
@@ -191,12 +191,50 @@ class InformationSystem:
         picks.sort(key=lambda s: (len(s), tuple(sorted(map(self._attr_index.__getitem__, s)))))
         return tuple(picks)
 
+    def discernibility_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
+        """Minimal hitting sets of the nonempty discernibility-matrix entries.
+
+        An attribute subset keeps the full partition iff it separates every
+        pair of distinct rows, i.e. meets the mask of attributes on which
+        the two rows differ.  Equal rows add no entry.  Output sorted by
+        (size, attribute indices), the order of :meth:`brute_force_reducts`;
+        guarded by ``max_attributes`` like it.
+        """
+        m = len(self.attributes)
+        if m > max_attributes:
+            raise CapacityError(
+                f"discernibility reduct search capped at {max_attributes} attributes, got {m}"
+            )
+        # Each distinct row is packed into one int with a field of w + 1 bits
+        # per attribute, its class id in the low w bits.  Adding 2**w - 1 to
+        # every field of u ^ v carries into the field's top bit iff rows u
+        # and v differ on that attribute, and never into the next field.
+        # Those top bits ascend with the attribute index, so the masks sort
+        # as the attribute sets they stand for.
+        w = max(map(max, self._columns)).bit_length()
+        step = w + 1
+        low = sum(1 << (j * step) for j in range(m))
+        fill, top = low * ((1 << w) - 1), low << w
+        rows = list({
+            sum(c << (j * step) for j, c in enumerate(row)) for row in zip(*self._columns)
+        })
+        entries = {((u ^ v) + fill) & top for a, u in enumerate(rows) for v in rows[:a]}
+        # supersets of another entry constrain nothing further
+        kept: list[int] = []
+        for entry in sorted(entries, key=int.bit_count):
+            if all(k & ~entry for k in kept):
+                kept.append(entry)
+        return tuple(
+            frozenset(self.attributes[b // step] for b in iter_bits(mask))
+            for mask in minimal_hitting_masks(kept)
+        )
+
     def brute_force_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
         """Inclusion-minimal attribute subsets preserving the full partition.
 
         Exhaustive 2**m scan in ascending subset size; supersets of an already
-        kept reduct are skipped.  The general-purpose oracle for the quotient
-        rule, guarded by ``max_attributes``.
+        kept reduct are skipped.  The oracle for the quotient rule and for
+        :meth:`discernibility_reducts`, guarded by ``max_attributes``.
         """
         m = len(self.attributes)
         if m > max_attributes:

@@ -3,12 +3,14 @@
 Everything here is deliberately naive: independence by explicit
 distinct-representative search over block permutations, rank and closure by
 tabulating those independent sets, flats by closing every subset, Hasse
-covers straight from the definition, hitting and spanning sets by power-set
-scans.  None of it shares an algorithm with the library paths it checks.
+covers straight from the definition, hitting and spanning sets and the
+table saturation condition by power-set scans.  None of it shares an
+algorithm with the library paths it checks.
 """
 
 from itertools import permutations
 
+from latmat.infosys import InformationSystem
 from latmat.matroid import SetFamily, iter_bits
 
 
@@ -103,3 +105,15 @@ def minimal_spanning_masks(family: SetFamily) -> set[int]:
     return {
         s for s in spanning if not any(t != s and t & ~s == 0 for t in spanning)
     }
+
+
+def saturation_condition_by_scan(system: InformationSystem) -> bool:
+    """Equal partitions force equal saturations, over all 2**m attribute subsets."""
+    attributes = system.attributes
+    seen = {}
+    for mask in range(1 << len(attributes)):
+        chosen = [attributes[j] for j in iter_bits(mask)]
+        saturation = system.quotient_saturation(chosen)
+        if seen.setdefault(system.partition_key(chosen), saturation) != saturation:
+            return False
+    return True

@@ -53,14 +53,26 @@ def covering_and_subsets(draw, count: int = 1, **kwargs):
 
 @st.composite
 def information_systems(
-    draw, max_objects: int = 5, max_attributes: int = 5, max_values: int = 3
+    draw,
+    max_objects: int = 5,
+    max_attributes: int = 5,
+    max_values: int = 3,
+    max_copies: int = 0,
 ) -> InformationSystem:
+    """Random tables; up to ``max_copies`` extra columns copy drawn ones.
+
+    A copied column sits at a random position under a fresh label, so
+    quotient blocks get several, not necessarily adjacent, members.
+    """
     n = draw(st.integers(1, max_objects))
     m = draw(st.integers(1, max_attributes))
     objects = tuple(f"x{i}" for i in range(1, n + 1))
-    attributes = tuple(f"a{j}" for j in range(1, m + 1))
     values = tuple(f"v{k}" for k in range(1, max_values + 1))
-    rows = tuple(
-        tuple(draw(st.sampled_from(values)) for _ in range(m)) for _ in range(n)
-    )
-    return InformationSystem(objects, attributes, rows)
+    rows = [[draw(st.sampled_from(values)) for _ in range(m)] for _ in range(n)]
+    for width in range(m, m + draw(st.integers(0, max_copies))):
+        source = draw(st.integers(0, width - 1))
+        position = draw(st.integers(0, width))
+        for row in rows:
+            row.insert(position, row[source])
+    attributes = tuple(f"a{j}" for j in range(1, len(rows[0]) + 1))
+    return InformationSystem(objects, attributes, tuple(map(tuple, rows)))

@@ -19,6 +19,8 @@ from latmat import (
     reducts_via_hyperplanes,
     spaces_equal_on,
 )
+from latmat.dependence import _size_then_members
+from latmat.matroid import iter_bits
 from strategies import set_families, subsets_of
 
 GOLDEN_REDUCTS = [
@@ -135,6 +137,11 @@ def test_spaces_equal_random(family):
 # minimal hitting sets
 
 
+def members_key(mask):
+    """The (size, member indices) order hitting sets are listed in."""
+    return mask.bit_count(), tuple(iter_bits(mask))
+
+
 def test_hitting_sets_golden(five_point_covering):
     matroid = five_point_covering.matroid
     ground = matroid.ground
@@ -183,7 +190,16 @@ def test_hitting_sets_match_scan(family):
     ground = family.ground
     hitters = minimal_hitting_sets(ground, family.blocks)
     expected = oracles.minimal_hitting_masks(len(ground), list(family.block_masks))
-    assert {ground.mask_of(h) for h in hitters} == expected
+    assert [ground.mask_of(h) for h in hitters] == sorted(expected, key=members_key)
+
+
+@given(st.integers(5, 24).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(st.integers(0, (1 << width) - 1)))
+))
+@settings(max_examples=100, deadline=None)
+def test_hitting_set_sort_key_keeps_member_order(case):
+    width, masks = case
+    assert sorted(masks, key=_size_then_members(width)) == sorted(masks, key=members_key)
 
 
 @given(set_families(max_elements=6, max_blocks=5))

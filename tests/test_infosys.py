@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings
 
+import oracles
 from latmat import (
     CapacityError,
     ConditionNotSatisfiedError,
@@ -194,7 +195,12 @@ def test_condition_counterexample_fails():
 
 
 def test_condition_counterexample_found_by_scan():
-    violators = [s for s in all_binary_tables() if not s.check_saturation_condition()]
+    violators = []
+    for system in all_binary_tables():
+        holds = system.check_saturation_condition()
+        assert holds == oracles.saturation_condition_by_scan(system)
+        if not holds:
+            violators.append(system)
     assert violators
     assert any(
         s.rows == CONDITION_COUNTEREXAMPLE.rows for s in violators
@@ -204,6 +210,25 @@ def test_condition_counterexample_found_by_scan():
 def test_condition_capacity_guard(weather_system):
     with pytest.raises(CapacityError, match="2"):
         weather_system.check_saturation_condition(max_attributes=2)
+
+
+def test_condition_fails_on_constant_column():
+    # the constant column induces the partition of the empty set
+    system = InformationSystem(
+        ("x1", "x2", "x3"),
+        ("a", "k", "b"),
+        (("1", "c", "p"), ("2", "c", "p"), ("2", "c", "q")),
+    )
+    assert not system.check_saturation_condition()
+    assert not oracles.saturation_condition_by_scan(system)
+
+
+@given(information_systems(max_objects=6, max_attributes=5, max_copies=3))
+@settings(max_examples=200, deadline=None)
+def test_condition_matches_power_set_scan(system):
+    assert system.check_saturation_condition() == oracles.saturation_condition_by_scan(
+        system
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +260,7 @@ def test_reducts_all_blocks_singleton():
 
 
 def test_reducts_via_quotient_requires_condition():
-    with pytest.raises(ConditionNotSatisfiedError, match="brute_force_reducts"):
+    with pytest.raises(ConditionNotSatisfiedError, match="discernibility_reducts"):
         CONDITION_COUNTEREXAMPLE.reducts_via_quotient()
 
 
@@ -264,6 +289,24 @@ def test_brute_force_single_attribute():
 def test_brute_force_capacity_guard(weather_system):
     with pytest.raises(CapacityError):
         weather_system.brute_force_reducts(max_attributes=2)
+
+
+def test_discernibility_identical_rows():
+    system = InformationSystem(
+        ("x1", "x2", "x3"), ("a", "b"), (("1", "2"), ("1", "2"), ("1", "2"))
+    )
+    assert system.discernibility_reducts() == (frozenset(),)
+
+
+def test_discernibility_capacity_guard(weather_system):
+    with pytest.raises(CapacityError, match="discernibility reduct search capped at 2"):
+        weather_system.discernibility_reducts(max_attributes=2)
+
+
+@given(information_systems(max_objects=7, max_attributes=5, max_values=5, max_copies=3))
+@settings(max_examples=200, deadline=None)
+def test_discernibility_reducts_match_brute_force(system):
+    assert system.discernibility_reducts() == system.brute_force_reducts()
 
 
 @given(information_systems())
