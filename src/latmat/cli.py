@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 
 from .covering import check_covering_equivalences, is_covering
-from .dependence import complement_family, reducts_via_hyperplanes
+from .dependence import minimal_hitting_masks
 from .errors import (
     CapacityError,
     ConditionNotSatisfiedError,
@@ -27,7 +28,7 @@ from .errors import (
     LatmatError,
 )
 from .infosys import InformationSystem
-from .lattice import GeometricLattice, build_lattice
+from .lattice import build_lattice
 from .matroid import GroundSet, SetFamily, TransversalMatroid
 
 DEFAULT_MAX_ELEMENTS = 16
@@ -112,12 +113,8 @@ def load_table_document(path: str) -> InformationSystem:
 # rendering helpers
 
 
-def fmt_set(ground: GroundSet, subset) -> str:
-    return "{" + ",".join(str(e) for e in ground.sorted_members(subset)) + "}"
-
-
-def fmt_many(ground: GroundSet, sets) -> str:
-    return " ".join(fmt_set(ground, s) for s in sets)
+def fmt_many(ground: GroundSet, masks) -> str:
+    return " ".join(map(ground.label, masks))
 
 
 def _fmt_group(members, order_of) -> str:
@@ -140,34 +137,6 @@ def _equivalence_line(report) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoders
-
-
-def lattice_json_doc(lattice: GeometricLattice) -> dict:
-    ground = lattice.ground
-    return {
-        "universe": list(ground.elements),
-        "flats": [
-            {"members": list(ground.sorted_members(flat)), "height": height}
-            for flat, height in zip(lattice.flats, lattice.heights)
-        ],
-        "covers": [list(ups) for ups in lattice.covers],
-        "bottom": lattice.bottom,
-        "top": lattice.top,
-    }
-
-
-def reducts_json_doc(ground: GroundSet, hyperplanes, complements, reducts, rank: int) -> dict:
-    return {
-        "universe": list(ground.elements),
-        "rank": rank,
-        "hyperplanes": [list(ground.sorted_members(h)) for h in hyperplanes],
-        "complements": [list(ground.sorted_members(c)) for c in complements],
-        "reducts": [list(ground.sorted_members(r)) for r in reducts],
-    }
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -184,6 +153,7 @@ def cmd_lattice(args) -> int:
     _guard_universe(family, args.max_elems)
     matroid = TransversalMatroid(family)
     lattice = build_lattice(matroid)
+    ground = family.ground
     covering = is_covering(family)
     if not covering:
         print("warning: family is not a covering of the universe", file=sys.stderr)
@@ -193,8 +163,17 @@ def cmd_lattice(args) -> int:
         return 0
 
     if args.json:
-        doc = lattice_json_doc(lattice)
-        doc["covering"] = covering
+        doc = {
+            "universe": ground.elements,
+            "flats": [
+                {"members": ground.members(mask), "height": height}
+                for mask, height in zip(lattice.masks, lattice.heights)
+            ],
+            "covers": lattice.covers,
+            "bottom": lattice.bottom,
+            "top": lattice.top,
+            "covering": covering,
+        }
         if not covering:
             report = check_covering_equivalences(matroid)
             doc["covering_checks"] = {
@@ -206,18 +185,19 @@ def cmd_lattice(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
-    ground = family.ground
     print("universe:", " ".join(str(e) for e in ground.elements))
-    print("blocks:", fmt_many(ground, family.blocks))
+    print("blocks:", fmt_many(ground, family.block_masks))
     print("covering:", _yesno(covering))
     print("rank:", matroid.ground_rank)
-    print(f"flats ({len(lattice.flats)}):")
-    for h in range(lattice.heights[lattice.top] + 1):
-        row = [f for f, hh in zip(lattice.flats, lattice.heights) if hh == h]
-        print(f"  height {h}: " + fmt_many(ground, row))
-    print("atoms:", fmt_many(ground, lattice.atoms()))
-    if lattice.top != lattice.bottom:
-        print("coatoms:", fmt_many(ground, lattice.coatoms()))
+    print(f"flats ({len(lattice.masks)}):")
+    rows: dict[int, list[int]] = {}  # heights ascend in canonical order
+    for mask, height in zip(lattice.masks, lattice.heights):
+        rows.setdefault(height, []).append(mask)
+    for height, row in rows.items():
+        print(f"  height {height}: " + fmt_many(ground, row))
+    print("atoms:", fmt_many(ground, rows.get(1, ())))
+    if matroid.ground_rank:
+        print("coatoms:", fmt_many(ground, matroid.hyperplane_masks()))
     if not covering:
         print(_equivalence_line(check_covering_equivalences(matroid)))
     return 0
@@ -228,17 +208,19 @@ def cmd_reducts(args) -> int:
     _guard_universe(family, args.max_elems)
     matroid = TransversalMatroid(family)
     ground = family.ground
-    hyperplanes = matroid.hyperplanes()
-    complements = complement_family(ground, hyperplanes)
-    reducts = reducts_via_hyperplanes(matroid)
+    hyperplanes = matroid.hyperplane_masks()
+    complements = [ground.full_mask & ~h for h in hyperplanes]
+    reducts = minimal_hitting_masks(complements)
 
     if args.json:
-        print(
-            json.dumps(
-                reducts_json_doc(ground, hyperplanes, complements, reducts, matroid.ground_rank),
-                indent=2,
-            )
-        )
+        doc = {
+            "universe": ground.elements,
+            "rank": matroid.ground_rank,
+            "hyperplanes": [ground.members(h) for h in hyperplanes],
+            "complements": [ground.members(c) for c in complements],
+            "reducts": [ground.members(r) for r in reducts],
+        }
+        print(json.dumps(doc, indent=2))
         return 0
 
     print("universe:", " ".join(str(e) for e in ground.elements))
@@ -247,7 +229,7 @@ def cmd_reducts(args) -> int:
     print(f"complements ({len(complements)}):", fmt_many(ground, complements))
     print(f"reducts ({len(reducts)}):")
     for reduct in reducts:
-        print("  " + fmt_set(ground, reduct))
+        print("  " + ground.label(reduct))
     return 0
 
 
@@ -331,6 +313,7 @@ def cmd_infosys(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latmat",

@@ -190,7 +190,5 @@ def reducts_via_hyperplanes(matroid: TransversalMatroid) -> tuple[frozenset, ...
     if matroid.ground_rank == 0:
         raise DegenerateMatroidError("a rank-zero matroid has no hyperplane reducts")
     ground = matroid.ground
-    complements = [ground.full_mask & ~h for h in matroid.hyperplane_masks()]
-    if any(c == 0 for c in complements):
-        raise EmptyTargetError("found a hyperplane equal to the ground set")
-    return minimal_hitting_sets(ground, (ground.subset_of(c) for c in complements))
+    masks = minimal_hitting_masks(ground.full_mask & ~h for h in matroid.hyperplane_masks())
+    return tuple(ground.subset_of(m) for m in masks)

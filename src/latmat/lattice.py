@@ -8,7 +8,8 @@ the inducing matroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import DegenerateLatticeError, NotAFlatError
@@ -35,24 +36,33 @@ class GeometricityReport:
 class GeometricLattice:
     """Flats in canonical order plus their Hasse diagram.
 
-    ``covers[i]`` lists the indices of the flats immediately above flat ``i``;
-    ``heights[i]`` is its rank in the inducing matroid.  Flats are sorted by
-    (height, member indices), so the bottom sits at index 0 and the top last.
+    ``masks[i]`` is flat ``i`` as a bitmask of ``ground``; ``covers[i]`` lists
+    the indices of the flats immediately above it; ``heights[i]`` is its rank
+    in the inducing matroid.  Flats are sorted by (height, member indices), so
+    the bottom sits at index 0 and the top last.
     """
 
     ground: GroundSet
-    flats: tuple[frozenset, ...]
+    masks: tuple[int, ...]
     heights: tuple[int, ...]
     covers: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _position: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        masks = tuple(self.ground.mask_of(f) for f in self.flats)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_position", {m: i for i, m in enumerate(masks)})
+    @property
+    def bottom(self) -> int:
+        return 0
+
+    @property
+    def top(self) -> int:
+        return len(self.masks) - 1
+
+    @cached_property
+    def flats(self) -> tuple[frozenset, ...]:
+        """Every flat as a frozenset of elements, built on first use."""
+        return tuple(self.ground.subset_of(m) for m in self.masks)
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.masks)}
 
     # order queries ------------------------------------------------------
 
@@ -61,16 +71,16 @@ class GeometricLattice:
         try:
             return self._position[mask]
         except KeyError:
-            members = ",".join(str(e) for e in self.ground.sorted_members(flat))
-            raise NotAFlatError(f"{{{members}}} is not a flat of this lattice") from None
+            label = self.ground.label(mask)
+            raise NotAFlatError(f"{label} is not a flat of this lattice") from None
 
     def height_of(self, flat: Iterable) -> int:
         return self.heights[self.index_of(flat)]
 
     def _closed_hull(self, mask: int) -> int:
         # least flat containing mask; flats are closed under intersection
-        hull = self._masks[self.top]
-        for m in self._masks:
+        hull = self.masks[self.top]
+        for m in self.masks:
             if mask & ~m == 0:
                 hull &= m
         return hull
@@ -78,23 +88,27 @@ class GeometricLattice:
     def meet(self, x: Iterable, y: Iterable) -> frozenset:
         """Greatest lower bound: plain intersection, itself a flat."""
         i, j = self.index_of(x), self.index_of(y)
-        return self.ground.subset_of(self._masks[i] & self._masks[j])
+        return self.ground.subset_of(self.masks[i] & self.masks[j])
 
     def join(self, x: Iterable, y: Iterable) -> frozenset:
         """Least upper bound: the least flat containing the union."""
-        union = self._masks[self.index_of(x)] | self._masks[self.index_of(y)]
+        union = self.masks[self.index_of(x)] | self.masks[self.index_of(y)]
         return self.ground.subset_of(self._closed_hull(union))
 
     def atoms(self) -> tuple[frozenset, ...]:
         """Flats of height one."""
-        return tuple(f for f, h in zip(self.flats, self.heights) if h == 1)
+        return tuple(
+            self.ground.subset_of(m) for m, h in zip(self.masks, self.heights) if h == 1
+        )
 
     def coatoms(self) -> tuple[frozenset, ...]:
         """Flats covered by the top; equals the matroid's hyperplanes."""
         if self.top == self.bottom:
             raise DegenerateLatticeError("a single-flat lattice has no coatoms")
         return tuple(
-            self.flats[i] for i, ups in enumerate(self.covers) if self.top in ups
+            self.ground.subset_of(self.masks[i])
+            for i, ups in enumerate(self.covers)
+            if self.top in ups
         )
 
     # diagnostics ----------------------------------------------------------
@@ -105,31 +119,32 @@ class GeometricLattice:
         Atomicity: every flat is the join of the atoms below it.
         Semimodularity: h(x) + h(y) >= h(x v y) + h(x ^ y) for all pairs.
         """
-        atom_masks = [self.ground.mask_of(a) for a in self.atoms()]
+        atom_masks = [m for m, h in zip(self.masks, self.heights) if h == 1]
         atomic = True
         atomicity_failure = None
-        for i, mask in enumerate(self._masks):
+        for mask in self.masks:
             below = 0
             for am in atom_masks:
                 if am & ~mask == 0:
                     below |= am
             if self._closed_hull(below) != mask:
                 atomic = False
-                atomicity_failure = self.flats[i]
+                atomicity_failure = self.ground.subset_of(mask)
                 break
 
         semimodular = True
         semimodularity_failure = None
-        count = len(self._masks)
-        for i in range(count):
-            for j in range(i, count):
-                meet_h = self.heights[self._position[self._masks[i] & self._masks[j]]]
-                join_h = self.heights[
-                    self._position[self._closed_hull(self._masks[i] | self._masks[j])]
-                ]
+        masks = self.masks
+        for i in range(len(masks)):
+            for j in range(i, len(masks)):
+                meet_h = self.heights[self._position[masks[i] & masks[j]]]
+                join_h = self.heights[self._position[self._closed_hull(masks[i] | masks[j])]]
                 if self.heights[i] + self.heights[j] < join_h + meet_h:
                     semimodular = False
-                    semimodularity_failure = (self.flats[i], self.flats[j])
+                    semimodularity_failure = (
+                        self.ground.subset_of(masks[i]),
+                        self.ground.subset_of(masks[j]),
+                    )
                     break
             if not semimodular:
                 break
@@ -145,12 +160,9 @@ class GeometricLattice:
 
     def to_dot(self) -> str:
         """Hasse diagram as a deterministic DOT digraph, one rank row per height."""
-        def label(flat: frozenset) -> str:
-            return "{" + ",".join(str(e) for e in self.ground.sorted_members(flat)) + "}"
-
         lines = ["digraph flats {", "  rankdir=BT;", "  node [shape=box];"]
-        for i, flat in enumerate(self.flats):
-            lines.append(f'  n{i} [label="{label(flat)}"];')
+        for i, mask in enumerate(self.masks):
+            lines.append(f'  n{i} [label="{self.ground.label(mask)}"];')
         for h in range(self.heights[self.top] + 1):
             row = [f"n{i}" for i, hh in enumerate(self.heights) if hh == h]
             if row:
@@ -164,12 +176,9 @@ class GeometricLattice:
 
 def build_lattice(matroid: TransversalMatroid) -> GeometricLattice:
     """Materialize the full lattice of flats of ``matroid``."""
-    masks = matroid.flat_masks()
     return GeometricLattice(
         ground=matroid.ground,
-        flats=tuple(matroid.ground.subset_of(m) for m in masks),
+        masks=matroid.flat_masks(),
         heights=matroid.flat_ranks(),
         covers=matroid.flat_covers(),
-        bottom=0,
-        top=len(masks) - 1,
     )

@@ -75,11 +75,15 @@ class GroundSet:
         return mask
 
     def subset_of(self, mask: int) -> frozenset:
-        return frozenset(self.elements[i] for i in iter_bits(mask))
+        return frozenset(self.members(mask))
 
-    def sorted_members(self, subset: Iterable) -> tuple:
-        """Members of ``subset`` in ground order; validates membership."""
-        return tuple(sorted(frozenset(subset), key=self.index_of))
+    def members(self, mask: int) -> tuple:
+        """Members of ``mask`` in ground order."""
+        return tuple(self.elements[i] for i in iter_bits(mask))
+
+    def label(self, mask: int) -> str:
+        """``mask`` printed as ``{a,b}``, members in ground order."""
+        return "{" + ",".join(str(e) for e in self.members(mask)) + "}"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ def coverings(draw, max_elements: int = 7, max_blocks: int = 5) -> Covering:
     if missing == 0:
         return Covering(family)
     blocks = list(family.blocks)
-    for element in ground.sorted_members(ground.subset_of(missing)):
+    for element in ground.members(missing):
         k = draw(st.integers(0, len(blocks) - 1))
         blocks[k] = blocks[k] | {element}
     return Covering(SetFamily(ground, tuple(blocks)))

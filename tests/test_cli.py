@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from latmat import DocumentError, TransversalMatroid, build_lattice
-from latmat.cli import (
-    lattice_json_doc,
-    load_covering_document,
-    load_table_document,
-    main,
-    reducts_json_doc,
+from latmat import (
+    DocumentError,
+    TransversalMatroid,
+    build_lattice,
+    complement_family,
+    reducts_via_hyperplanes,
 )
+from latmat.cli import build_parser, load_covering_document, load_table_document, main
 
 COVERING_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4, 5]]}'
 FAMILY_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4]]}'
@@ -188,8 +188,19 @@ def test_lattice_json_roundtrip(covering_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["covering"] is True
     family = load_covering_document(covering_file)
+    ground = family.ground
     lattice = build_lattice(TransversalMatroid(family))
-    assert doc == {**lattice_json_doc(lattice), "covering": True}
+    assert doc == {
+        "universe": [1, 2, 3, 4, 5],
+        "flats": [
+            {"members": sorted(flat, key=ground.index_of), "height": lattice.height_of(flat)}
+            for flat in lattice.flats
+        ],
+        "covers": [list(ups) for ups in lattice.covers],
+        "bottom": 0,
+        "top": len(lattice.flats) - 1,
+        "covering": True,
+    }
 
 
 def test_lattice_parse_error_exit_code(tmp_path, capsys):
@@ -230,24 +241,23 @@ def test_reducts_json_roundtrip(covering_file, capsys):
     assert main(["reducts", covering_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     family = load_covering_document(covering_file)
-    from latmat import reducts_via_hyperplanes
-
-    matroid = TransversalMatroid(family)
     ground = family.ground
-    reducts = reducts_via_hyperplanes(matroid)
+    matroid = TransversalMatroid(family)
     hyperplanes = matroid.hyperplanes()
-    from latmat import complement_family
 
-    complements = complement_family(ground, hyperplanes)
-    assert (
-        reducts_json_doc(ground, hyperplanes, complements, reducts, matroid.ground_rank)
-        == doc
-    )
+    def members(subsets):
+        return [sorted(s, key=ground.index_of) for s in subsets]
+
+    assert doc == {
+        "universe": [1, 2, 3, 4, 5],
+        "rank": 3,
+        "hyperplanes": members(hyperplanes),
+        "complements": members(complement_family(ground, hyperplanes)),
+        "reducts": members(reducts_via_hyperplanes(matroid)),
+    }
 
 
 def test_reducts_matches_library(family_file, capsys):
-    from latmat import reducts_via_hyperplanes
-
     assert main(["reducts", family_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     family = load_covering_document(family_file)
@@ -330,3 +340,21 @@ def test_outputs_are_deterministic(covering_file, weather_file, capsys):
         main(["infosys", weather_file, "--json"])
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_cached_parser_serves_consecutive_calls(covering_file, capsys):
+    assert build_parser() is build_parser()
+    assert main(["reducts", covering_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "universe": [1, 2, 3, 4, 5],
+        "rank": 3,
+        "hyperplanes": [[1, 2], [1, 3], [1, 4, 5], [2, 3], [2, 4, 5], [3, 4, 5]],
+        "complements": [[3, 4, 5], [2, 4, 5], [2, 3], [1, 4, 5], [1, 3], [1, 2]],
+        "reducts": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5], [2, 3, 4], [2, 3, 5]],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["reducts", covering_file, "--dot"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+    assert main(["lattice", covering_file]) == 0
+    assert capsys.readouterr().out == LATTICE_TEXT

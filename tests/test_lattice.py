@@ -150,11 +150,9 @@ def test_coatoms_degenerate_lattice():
 
     lattice = GeometricLattice(
         ground=GroundSet((1,)),
-        flats=(frozenset({1}),),
+        masks=(1,),
         heights=(0,),
         covers=((),),
-        bottom=0,
-        top=0,
     )
     with pytest.raises(DegenerateLatticeError):
         lattice.coatoms()

@@ -27,13 +27,15 @@ def test_ground_set_rejects_empty():
         GroundSet(())
 
 
-def test_sorted_members_ground_order():
-    ground = GroundSet(("c", 3, "a", 1))
-    assert ground.sorted_members({1, "a", "c"}) == ("c", "a", 1)
-    assert ground.sorted_members([1, 3, 1]) == (3, 1)
-    assert ground.sorted_members(()) == ()
-    with pytest.raises(UnknownElementError, match="'b'"):
-        ground.sorted_members({"a", "b"})
+def test_members_and_label_ground_order():
+    ground = GroundSet(("c", "a", 1))
+    mask = ground.mask_of({1, "c"})
+    assert ground.members(mask) == ("c", 1)
+    assert ground.label(mask) == "{c,1}"
+    assert ground.members(ground.full_mask) == ("c", "a", 1)
+    assert ground.label(ground.full_mask) == "{c,a,1}"
+    assert ground.members(0) == ()
+    assert ground.label(0) == "{}"
 
 
 def test_family_rejects_empty_block():
