@@ -117,11 +117,6 @@ def fmt_many(ground: GroundSet, masks) -> str:
     return " ".join(map(ground.label, masks))
 
 
-def _fmt_group(members, order_of) -> str:
-    ordered = sorted(members, key=order_of)
-    return "{" + ",".join(str(m) for m in ordered) + "}"
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -252,19 +247,18 @@ def cmd_infosys(args) -> int:
     system = load_table_document(args.path)
     if args.decision is not None:
         system = _drop_decision_column(system, args.decision)
-    attr_order = system.attribute_index
-    object_order = {x: i for i, x in enumerate(system.objects)}.__getitem__
+    attributes, objects = system.attribute_ground, system.object_ground
     method = "brute-force"
     if args.force_brute:
         condition = system.check_saturation_condition(max_attributes=args.max_attrs)
     else:
         try:  # the quotient rule runs the saturation check itself
-            reducts = system.reducts_via_quotient(max_attributes=args.max_attrs)
+            reducts = system.quotient_reduct_masks(max_attributes=args.max_attrs)
             condition, method = True, "quotient-rule"
         except ConditionNotSatisfiedError:
             condition = False
     if method == "brute-force":  # the label predates the discernibility route
-        reducts = system.discernibility_reducts(max_attributes=args.max_attrs)
+        reducts = system.discernibility_reduct_masks(max_attributes=args.max_attrs)
 
     if args.json:
         doc = {
@@ -272,18 +266,13 @@ def cmd_infosys(args) -> int:
             "attributes": list(system.attributes),
             "decision": args.decision,
             "partitions": {
-                str(a): [
-                    sorted(block, key=object_order)
-                    for block in system.indiscernibility([a])
-                ]
-                for a in system.attributes
+                str(a): [objects.members(b) for b in system.partition_masks(1 << j)]
+                for j, a in enumerate(system.attributes)
             },
-            "attribute_blocks": [
-                sorted(block, key=attr_order) for block in system.attribute_quotient()
-            ],
+            "attribute_blocks": [attributes.members(b) for b in system.quotient_masks],
             "condition_holds": condition,
             "method": method,
-            "reducts": [sorted(r, key=attr_order) for r in reducts],
+            "reducts": [attributes.members(r) for r in reducts],
         }
         print(json.dumps(doc, indent=2))
         return 0
@@ -293,19 +282,15 @@ def cmd_infosys(args) -> int:
     if args.decision is not None:
         print(f"decision column: {args.decision} (excluded from reduction)")
     print("partitions:")
-    for a in system.attributes:
-        blocks = system.indiscernibility([a])
-        print(f"  {a}: " + " ".join(_fmt_group(b, object_order) for b in blocks))
-    print(
-        "attribute blocks:",
-        " ".join(_fmt_group(b, attr_order) for b in system.attribute_quotient()),
-    )
+    for j, a in enumerate(system.attributes):
+        print(f"  {a}: " + fmt_many(objects, system.partition_masks(1 << j)))
+    print("attribute blocks:", fmt_many(attributes, system.quotient_masks))
     print("condition:", "holds" if condition else "fails")
     if not condition:
         print("note: condition fails; falling back to brute-force reducts")
     print(f"reducts ({len(reducts)}) via {method}:")
     for reduct in reducts:
-        print("  " + _fmt_group(reduct, attr_order))
+        print("  " + attributes.label(reduct))
     return 0
 
 

@@ -28,7 +28,10 @@ __all__ = [
 
 def is_covering(family: SetFamily) -> bool:
     """True when the nonempty blocks jointly cover the ground set."""
-    return family.covers_ground()
+    union = 0
+    for mask in family.block_masks:
+        union |= mask
+    return union == family.ground.full_mask
 
 
 @dataclass(frozen=True)
@@ -78,26 +81,23 @@ class Covering:
             for element, mask in zip(self.ground.elements, self._singleton_closure_masks)
         }
 
+    def _residue_masks(self) -> tuple[list[int], int]:
+        """Nonempty block residues in block order, and the shared elements.
+
+        Nonempty residues are disjoint, hence distinct; repeated blocks have none.
+        """
+        once = shared = 0
+        for mask in self.family.block_masks:
+            shared |= once & mask
+            once |= mask
+        return [m & ~shared for m in self.family.block_masks if m & ~shared], shared
+
     def residue_split(self) -> ResidueSplit:
         """Residue of each block (the block minus all others) plus the rest."""
-        masks = self.family.block_masks
-        residues: list[int] = []
-        seen: set[int] = set()
-        for k, mask in enumerate(masks):
-            others = 0
-            for j, other in enumerate(masks):
-                if j != k:
-                    others |= other
-            residue = mask & ~others
-            if residue and residue not in seen:
-                seen.add(residue)
-                residues.append(residue)
-        union = 0
-        for residue in residues:
-            union |= residue
+        residues, shared = self._residue_masks()
         return ResidueSplit(
             residues=tuple(self.ground.subset_of(r) for r in residues),
-            shared=self.ground.subset_of(self.ground.full_mask & ~union),
+            shared=self.ground.subset_of(shared),
         )
 
     def atoms(self) -> tuple[frozenset, ...]:
@@ -107,9 +107,10 @@ class Covering:
         no matroid computation is involved.  Agrees with the lattice atoms
         and with the image of :attr:`singleton_closures`.
         """
-        split = self.residue_split()
-        masks = [self.ground.mask_of(a) for a in split.residues]
-        masks.extend(1 << i for i in iter_bits(self.ground.mask_of(split.shared)))
+        masks, shared = self._residue_masks()
+        masks.extend(1 << i for i in iter_bits(shared))
+        # atoms differ in size and are ordered by their members alone, so the
+        # (size, members) key does not apply
         masks.sort(key=lambda m: tuple(iter_bits(m)))
         return tuple(self.ground.subset_of(m) for m in masks)
 

@@ -18,7 +18,7 @@ from .errors import (
     DegenerateMatroidError,
     EmptyTargetError,
 )
-from .matroid import GroundSet, TransversalMatroid, iter_bits
+from .matroid import GroundSet, TransversalMatroid, iter_bits, size_then_members
 
 __all__ = [
     "DependenceSpace",
@@ -62,7 +62,7 @@ def profile_space(ground: GroundSet, profile_sets: Iterable[Iterable]) -> Depend
     masks = tuple(
         sorted(
             {ground.mask_of(s) for s in profile_sets},
-            key=lambda m: (m.bit_count(), tuple(iter_bits(m))),
+            key=size_then_members(len(ground)),
         )
     )
 
@@ -160,18 +160,8 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
             veto |= bit
 
     descend(0, 0, target_masks)
-    found.sort(key=_size_then_members(width))
+    found.sort(key=size_then_members(width))
     return found
-
-
-def _size_then_members(width: int) -> Callable[[int], tuple[int, int]]:
-    # Sort key equal in order to (size, member indices) for masks below
-    # 2**width: within one size, ascending member tuples are descending
-    # bit-reversed masks, and one int conversion is cheaper than a tuple.
-    def key(mask: int) -> tuple[int, int]:
-        return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
-
-    return key
 
 
 def complement_family(ground: GroundSet, sets: Iterable[Iterable]) -> tuple[frozenset, ...]:

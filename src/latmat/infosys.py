@@ -15,6 +15,7 @@ guarded power-set scan survives as the oracle for both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable
 
@@ -23,8 +24,9 @@ from .errors import (
     CapacityError,
     ConditionNotSatisfiedError,
     UnknownAttributeError,
+    UnknownElementError,
 )
-from .matroid import iter_bits
+from .matroid import GroundSet, iter_bits, size_then_members
 
 __all__ = ["InformationSystem"]
 
@@ -36,13 +38,16 @@ class InformationSystem:
     ``rows[i][j]`` is the value of ``attributes[j]`` on ``objects[i]``.
     Values are compared as opaque tokens; no coercion is attempted, so
     "1" and 1 are different values.  Missing cells are rejected.
+    Attribute and object subsets are bitmasks of ``attribute_ground`` and
+    ``object_ground``; the element-level methods wrap the mask-level ones.
     """
 
     objects: tuple
     attributes: tuple
     rows: tuple[tuple, ...]
+    attribute_ground: GroundSet = field(init=False, repr=False, compare=False)
+    object_ground: GroundSet = field(init=False, repr=False, compare=False)
     _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _attr_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objects = tuple(self.objects)
@@ -77,19 +82,17 @@ class InformationSystem:
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "attribute_ground", GroundSet(attributes))
+        object.__setattr__(self, "object_ground", GroundSet(objects))
         object.__setattr__(self, "_columns", tuple(columns))
-        object.__setattr__(self, "_attr_index", {a: j for j, a in enumerate(attributes)})
+
+    def _attribute_mask(self, attrs: Iterable) -> int:
+        try:
+            return self.attribute_ground.mask_of(attrs)
+        except UnknownElementError as exc:
+            raise UnknownAttributeError(exc.element) from None
 
     # indiscernibility ----------------------------------------------------
-
-    def attribute_index(self, attribute) -> int:
-        try:
-            return self._attr_index[attribute]
-        except KeyError:
-            raise UnknownAttributeError(attribute) from None
-
-    def _indices_of(self, attrs: Iterable) -> tuple[int, ...]:
-        return tuple(sorted({self.attribute_index(a) for a in attrs}))
 
     def _partition_key_of_mask(self, mask: int) -> tuple[int, ...]:
         if mask & (mask - 1) == 0:
@@ -107,10 +110,18 @@ class InformationSystem:
         One class id per object, assigned in first-occurrence order; two
         attribute subsets induce the same partition iff their keys are equal.
         """
-        mask = 0
-        for j in self._indices_of(attrs):
-            mask |= 1 << j
-        return self._partition_key_of_mask(mask)
+        return self._partition_key_of_mask(self._attribute_mask(attrs))
+
+    def partition_masks(self, attr_mask: int) -> tuple[int, ...]:
+        """Object masks of the partition induced by ``attr_mask``.
+
+        Blocks are ordered by their first object, the order of the class ids.
+        """
+        key = self._partition_key_of_mask(attr_mask)
+        blocks = [0] * (max(key) + 1)
+        for i, cid in enumerate(key):
+            blocks[cid] |= 1 << i
+        return tuple(blocks)
 
     def indiscernibility(self, attrs: Iterable) -> tuple[frozenset, ...]:
         """Partition of the objects by joint agreement on ``attrs``.
@@ -118,30 +129,32 @@ class InformationSystem:
         The empty attribute set gives the single-block partition.  Blocks are
         ordered by their first object.
         """
-        key = self.partition_key(attrs)
-        blocks: dict[int, list] = {}
-        for i, cid in enumerate(key):
-            blocks.setdefault(cid, []).append(self.objects[i])
-        return tuple(frozenset(blocks[cid]) for cid in sorted(blocks))
+        masks = self.partition_masks(self._attribute_mask(attrs))
+        return tuple(map(self.object_ground.subset_of, masks))
 
     # attribute quotient ---------------------------------------------------
 
+    @cached_property
+    def quotient_masks(self) -> tuple[int, ...]:
+        """Attribute masks grouped by equal single-attribute partitions.
+
+        Blocks are ordered by their first attribute.
+        """
+        groups: dict[tuple[int, ...], int] = {}
+        for j, column in enumerate(self._columns):
+            groups[column] = groups.get(column, 0) | 1 << j
+        return tuple(groups.values())
+
     def attribute_quotient(self) -> tuple[frozenset, ...]:
         """Attributes grouped by equality of their single-attribute partitions."""
-        groups: dict[tuple[int, ...], list] = {}
-        for j, attribute in enumerate(self.attributes):
-            groups.setdefault(self._columns[j], []).append(attribute)
-        ordered = sorted(groups.values(), key=lambda g: self._attr_index[g[0]])
-        return tuple(frozenset(g) for g in ordered)
+        return tuple(map(self.attribute_ground.subset_of, self.quotient_masks))
 
     def quotient_saturation(self, attrs: Iterable) -> frozenset:
         """Union of the quotient blocks meeting ``attrs``."""
-        wanted = set(self._indices_of(attrs))
-        out: set = set()
-        for block in self.attribute_quotient():
-            if any(self._attr_index[a] in wanted for a in block):
-                out |= block
-        return frozenset(out)
+        wanted = self._attribute_mask(attrs)
+        # quotient blocks are disjoint, so their sum is their union
+        out = sum(block for block in self.quotient_masks if block & wanted)
+        return self.attribute_ground.subset_of(out)
 
     # the quotient-rule precondition ---------------------------------------
 
@@ -160,9 +173,7 @@ class InformationSystem:
             raise CapacityError(
                 f"condition check capped at {max_attributes} attributes, got {m}"
             )
-        representatives = 0
-        for block in self.attribute_quotient():
-            representatives |= 1 << min(self._attr_index[a] for a in block)
+        representatives = sum(block & -block for block in self.quotient_masks)
         full_key = self._partition_key_of_mask(representatives)
         return all(
             self._partition_key_of_mask(representatives & ~(1 << j)) != full_key
@@ -171,7 +182,7 @@ class InformationSystem:
 
     # reducts ----------------------------------------------------------------
 
-    def reducts_via_quotient(self, *, max_attributes: int = 15) -> tuple[frozenset, ...]:
+    def quotient_reduct_masks(self, *, max_attributes: int = 15) -> list[int]:
         """One attribute from each quotient block; every selection is a reduct.
 
         Valid only when :meth:`check_saturation_condition` holds, which is
@@ -183,15 +194,17 @@ class InformationSystem:
                 "equal partitions do not force equal saturations; "
                 "use discernibility_reducts instead"
             )
-        blocks = [
-            sorted(block, key=self._attr_index.__getitem__)
-            for block in self.attribute_quotient()
-        ]
-        picks = [frozenset(combo) for combo in product(*blocks)]
-        picks.sort(key=lambda s: (len(s), tuple(sorted(map(self._attr_index.__getitem__, s)))))
-        return tuple(picks)
+        bits = [[1 << j for j in iter_bits(block)] for block in self.quotient_masks]
+        picks = [sum(combo) for combo in product(*bits)]
+        picks.sort(key=size_then_members(len(self.attributes)))
+        return picks
 
-    def discernibility_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
+    def reducts_via_quotient(self, *, max_attributes: int = 15) -> tuple[frozenset, ...]:
+        """Frozenset form of :meth:`quotient_reduct_masks`, same order."""
+        masks = self.quotient_reduct_masks(max_attributes=max_attributes)
+        return tuple(map(self.attribute_ground.subset_of, masks))
+
+    def discernibility_reduct_masks(self, *, max_attributes: int = 20) -> list[int]:
         """Minimal hitting sets of the nonempty discernibility-matrix entries.
 
         An attribute subset keeps the full partition iff it separates every
@@ -209,8 +222,6 @@ class InformationSystem:
         # per attribute, its class id in the low w bits.  Adding 2**w - 1 to
         # every field of u ^ v carries into the field's top bit iff rows u
         # and v differ on that attribute, and never into the next field.
-        # Those top bits ascend with the attribute index, so the masks sort
-        # as the attribute sets they stand for.
         w = max(map(max, self._columns)).bit_length()
         step = w + 1
         low = sum(1 << (j * step) for j in range(m))
@@ -224,10 +235,15 @@ class InformationSystem:
         for entry in sorted(entries, key=int.bit_count):
             if all(k & ~entry for k in kept):
                 kept.append(entry)
-        return tuple(
-            frozenset(self.attributes[b // step] for b in iter_bits(mask))
-            for mask in minimal_hitting_masks(kept)
+        # top bit j * step + w stands for attribute j
+        return minimal_hitting_masks(
+            sum(1 << (b // step) for b in iter_bits(entry)) for entry in kept
         )
+
+    def discernibility_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
+        """Frozenset form of :meth:`discernibility_reduct_masks`, same order."""
+        masks = self.discernibility_reduct_masks(max_attributes=max_attributes)
+        return tuple(map(self.attribute_ground.subset_of, masks))
 
     def brute_force_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
         """Inclusion-minimal attribute subsets preserving the full partition.
@@ -243,12 +259,9 @@ class InformationSystem:
             )
         full_key = self._partition_key_of_mask((1 << m) - 1)
         kept: list[int] = []
-        order = sorted(range(1 << m), key=lambda x: (x.bit_count(), tuple(iter_bits(x))))
-        for mask in order:
+        for mask in sorted(range(1 << m), key=size_then_members(m)):
             if any(k & ~mask == 0 for k in kept):
                 continue
             if self._partition_key_of_mask(mask) == full_key:
                 kept.append(mask)
-        return tuple(
-            frozenset(self.attributes[j] for j in iter_bits(mask)) for mask in kept
-        )
+        return tuple(map(self.attribute_ground.subset_of, kept))

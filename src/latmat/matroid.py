@@ -14,11 +14,11 @@ numbering, so enumeration order is deterministic for a fixed ground order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import DegenerateMatroidError, UnknownElementError
 
-__all__ = ["GroundSet", "SetFamily", "TransversalMatroid", "iter_bits"]
+__all__ = ["GroundSet", "SetFamily", "TransversalMatroid", "iter_bits", "size_then_members"]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -27,6 +27,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def size_then_members(width: int) -> Callable[[int], tuple[int, int]]:
+    """Sort key ordering masks below ``2**width`` by (size, member indices).
+
+    Within one size, ascending member tuples are descending bit-reversed
+    masks, and one int conversion is cheaper than a tuple.
+    """
+
+    def key(mask: int) -> tuple[int, int]:
+        return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -114,12 +127,6 @@ class SetFamily:
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-    def covers_ground(self) -> bool:
-        union = 0
-        for mask in self.block_masks:
-            union |= mask
-        return union == self.ground.full_mask
 
 
 class TransversalMatroid:
@@ -220,6 +227,8 @@ class TransversalMatroid:
             ups: list[list[int]] = []
             while level:
                 above: dict[int, list[int]] = {}
+                # flats of one rank differ in size and are ordered by their
+                # members alone, so the (size, members) key does not apply
                 for flat in sorted(level, key=lambda m: tuple(iter_bits(m))):
                     owner = level[flat]
                     masks.append(flat)

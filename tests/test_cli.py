@@ -1,17 +1,25 @@
 """CLI front end: parsing, subcommands, output determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmat import (
     DocumentError,
+    InformationSystem,
     TransversalMatroid,
     build_lattice,
     complement_family,
     reducts_via_hyperplanes,
 )
 from latmat.cli import build_parser, load_covering_document, load_table_document, main
+from strategies import information_systems
 
 COVERING_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4, 5]]}'
 FAMILY_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4]]}'
@@ -325,6 +333,59 @@ def test_infosys_decision_column_excluded(weather_file, capsys):
 def test_infosys_unknown_decision_column(weather_file, capsys):
     assert main(["infosys", weather_file, "--decision", "wind"]) == 2
     assert "wind" in capsys.readouterr().err
+
+
+def _run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(information_systems(max_copies=3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_infosys_matches_library(drawn, force_brute):
+    # labels sort in reverse column order, so the output must follow the
+    # column numbering and not the labels
+    m, n = len(drawn.attributes), len(drawn.objects)
+    attributes = tuple(f"c{m - j}" for j in range(m))
+    objects = tuple(f"y{n - i}" for i in range(n))
+    table = InformationSystem(objects, attributes, drawn.rows)
+    column = {a: j for j, a in enumerate(attributes)}.__getitem__
+    row = {x: i for i, x in enumerate(objects)}.__getitem__
+    condition = table.check_saturation_condition()
+    if force_brute or not condition:
+        method, reducts = "brute-force", table.discernibility_reducts()
+    else:
+        method, reducts = "quotient-rule", table.reducts_via_quotient()
+    reducts = [sorted(r, key=column) for r in reducts]
+
+    flags = ["--force-brute"] if force_brute else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(("object",) + attributes) + "\n")
+            for x, values in zip(objects, table.rows):
+                handle.write(",".join((x,) + values) + "\n")
+        json_code, json_out = _run(["infosys", path, "--json", *flags])
+        text_code, text_out = _run(["infosys", path, *flags])
+
+    assert json_code == text_code == 0
+    assert json.loads(json_out) == {
+        "objects": list(objects),
+        "attributes": list(attributes),
+        "decision": None,
+        "partitions": {
+            a: [sorted(b, key=row) for b in table.indiscernibility([a])] for a in attributes
+        },
+        "attribute_blocks": [sorted(b, key=column) for b in table.attribute_quotient()],
+        "condition_holds": condition,
+        "method": method,
+        "reducts": reducts,
+    }
+    lines = text_out.splitlines()
+    start = lines.index(f"reducts ({len(reducts)}) via {method}:") + 1
+    assert lines[start:] == ["  {" + ",".join(r) + "}" for r in reducts]
 
 
 # ---------------------------------------------------------------------------

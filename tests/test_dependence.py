@@ -19,8 +19,7 @@ from latmat import (
     reducts_via_hyperplanes,
     spaces_equal_on,
 )
-from latmat.dependence import _size_then_members
-from latmat.matroid import iter_bits
+from latmat.matroid import iter_bits, size_then_members
 from strategies import set_families, subsets_of
 
 GOLDEN_REDUCTS = [
@@ -199,7 +198,7 @@ def test_hitting_sets_match_scan(family):
 @settings(max_examples=100, deadline=None)
 def test_hitting_set_sort_key_keeps_member_order(case):
     width, masks = case
-    assert sorted(masks, key=_size_then_members(width)) == sorted(masks, key=members_key)
+    assert sorted(masks, key=size_then_members(width)) == sorted(masks, key=members_key)
 
 
 @given(set_families(max_elements=6, max_blocks=5))
