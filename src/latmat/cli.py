@@ -64,6 +64,8 @@ def load_covering_document(path: str) -> SetFamily:
     for k, block in enumerate(blocks):
         if not isinstance(block, list):
             raise DocumentError(f"{path}: block {k} must be a list")
+        if any(not isinstance(e, (str, int)) for e in block):
+            raise DocumentError(f"{path}: block {k} elements must be strings or integers")
     try:
         ground = GroundSet(tuple(universe))
         return SetFamily(ground, tuple(frozenset(block) for block in blocks))

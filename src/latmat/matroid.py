@@ -5,7 +5,8 @@ independent sets are the partial transversals of the family: the subsets that
 can be matched injectively into blocks containing them.  Rank is therefore a
 maximum bipartite matching size, and the closure of a subset collects every
 element whose arrival cannot enlarge that matching.  One pass over the flats,
-rank by rank, yields them together with their ranks and Hasse covers.
+rank by rank, yields them together with their ranks and Hasse covers; each
+flat is closed once, and a flat reuses the covers already found one rank up.
 
 All subset arithmetic runs on bitmask encodings with a stable element-to-bit
 numbering, so enumeration order is deterministic for a fixed ground order.
@@ -47,6 +48,7 @@ class GroundSet:
     """Ordered universe of distinct elements with a stable bit numbering."""
 
     elements: tuple[Hashable, ...]
+    full_mask: int = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -59,6 +61,7 @@ class GroundSet:
                 raise ValueError(f"duplicate element {element!r} in ground set")
             index[element] = i
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "full_mask", (1 << len(elements)) - 1)
         object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
@@ -69,10 +72,6 @@ class GroundSet:
 
     def __contains__(self, element) -> bool:
         return element in self._index
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.elements)) - 1
 
     def index_of(self, element) -> int:
         try:
@@ -213,20 +212,31 @@ class TransversalMatroid:
         """All closed sets, sorted by (rank, member indices).
 
         The first call enumerates them rank by rank from the closure of the
-        empty set.  Each flat F carries a maximum matching, which one
-        augmenting path grows into a matching of cl(F + e).  The covers of F
-        partition the elements outside F, so each cover is closed once and
-        recorded as a Hasse edge (see :meth:`flat_ranks`, :meth:`flat_covers`).
+        empty set.  The covers of a flat F partition the elements outside F,
+        and every flat of the next rank that holds F covers it (Oxley,
+        *Matroid Theory*, section 1.7).  So F first takes the covers already
+        found in its level, looked up through a per-element mask of the
+        found flats holding that element, and strikes their elements.  Each
+        element left yields a new cover cl(F + e): F's maximum matching,
+        grown by one augmenting path, is swept once and kept for the cover.
+        Every flat is thus closed exactly once, and each cover is recorded
+        as a Hasse edge (see :meth:`flat_ranks`, :meth:`flat_covers`).
         """
         if self._flat_record is None:
             full = self.ground.full_mask
             unmatched = [-1] * self.family.size
-            level = {self._closed(0, unmatched): unmatched}
+            loops = self._closed(0, unmatched)
+            level = {loops: unmatched}
             masks: list[int] = []
             ranks: list[int] = []
             ups: list[list[int]] = []
             while level:
+                # flats of the next rank found so far, with their matchings;
+                # ``found`` lists them in order, and per element ``holders``
+                # has a mask of the positions of the flats holding it
                 above: dict[int, list[int]] = {}
+                found: list[int] = []
+                holders = [0] * len(self.ground)
                 # flats of one rank differ in size and are ordered by their
                 # members alone, so the (size, members) key does not apply
                 for flat in sorted(level, key=lambda m: tuple(iter_bits(m))):
@@ -235,6 +245,14 @@ class TransversalMatroid:
                     ranks.append(len(owner) - owner.count(-1))
                     ups.append([])
                     rest = full & ~flat
+                    # a found flat holding flat is one rank up, so covers it
+                    held = (1 << len(found)) - 1
+                    for i in iter_bits(flat & ~loops):
+                        held &= holders[i]
+                    for j in iter_bits(held):
+                        cover = found[j]
+                        ups[-1].append(cover)
+                        rest &= ~cover
                     while rest:
                         bit = rest & -rest
                         grown = owner.copy()
@@ -242,7 +260,11 @@ class TransversalMatroid:
                         cover = self._closed(flat | bit, grown)
                         rest &= ~cover
                         ups[-1].append(cover)
-                        above.setdefault(cover, grown)
+                        above[cover] = grown
+                        slot = 1 << len(found)
+                        found.append(cover)
+                        for i in iter_bits(cover & ~loops):
+                            holders[i] |= slot
                 level = above
             position = {m: k for k, m in enumerate(masks)}
             covers = tuple(tuple(sorted(position[c] for c in cs)) for cs in ups)

@@ -142,6 +142,20 @@ def test_load_covering_rejects_ambiguous_universe(tmp_path, capsys):
     assert "print identically" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "member", ["[1, 2]", '{"a": 1}', "1.0"], ids=["nested-list", "object", "float"]
+)
+def test_lattice_rejects_non_scalar_block_member(tmp_path, capsys, member):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"universe": [1, 2], "blocks": [[2], [{member}]]}}')
+    with pytest.raises(DocumentError, match="block 1 elements must be strings or integers"):
+        load_covering_document(str(path))
+    assert main(["lattice", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "block 1 elements must be strings or integers" in out.err
+
+
 def test_load_table_document(weather_file):
     system = load_table_document(weather_file)
     assert system.objects == ("x1", "x2", "x3", "x4")

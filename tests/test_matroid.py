@@ -307,3 +307,56 @@ def test_rank_closure_flats_match_oracles(family):
         assert matroid.rank_mask(mask) == ranks[mask]
         assert matroid.closure_mask(mask) == closures[mask]
     assert set(matroid.flat_masks()) == oracles.flat_masks(family)
+
+
+# ---------------------------------------------------------------------------
+# flat enumeration: work and covers
+
+
+FAMILIES_TO_COUNT = {
+    "five-point-covering": ((1, 2, 3, 4, 5), ({1, 3}, {2, 3}, {3, 4, 5})),
+    # elements 5 and 6 lie in no block; block {1, 2} appears twice
+    "loops-and-repeated-block": ((1, 2, 3, 4, 5, 6), ({1, 2}, {1, 2}, {2, 3, 4})),
+    "free-on-six": (tuple(range(6)), tuple({i} for i in range(6))),
+}
+
+
+@pytest.mark.parametrize(
+    "elements, blocks", FAMILIES_TO_COUNT.values(), ids=FAMILIES_TO_COUNT.keys()
+)
+def test_flat_enumeration_closes_each_flat_once(elements, blocks, monkeypatch):
+    family = SetFamily(GroundSet(elements), tuple(map(frozenset, blocks)))
+    matroid = TransversalMatroid(family)
+    closed = matroid._closed
+    calls = []
+
+    def counting(mask, owner):
+        calls.append(mask)
+        return closed(mask, owner)
+
+    monkeypatch.setattr(matroid, "_closed", counting)
+    flats = matroid.flat_masks()
+    # one closure for the bottom flat, then one per flat above it
+    assert len(calls) == len(flats)
+
+
+@given(set_families(max_elements=8, max_blocks=6))
+@settings(max_examples=100, deadline=None)
+def test_flats_and_covers_match_matching_route(family):
+    matroid = TransversalMatroid(family)
+    rank_of = {
+        mask: matroid.rank_mask(mask)
+        for mask in range(1 << len(family.ground))
+        if matroid.closure_mask(mask) == mask
+    }
+    flats = matroid.flat_masks()
+    assert len(flats) == len(rank_of)
+    assert set(flats) == set(rank_of)
+    for flat, rank, ups in zip(flats, matroid.flat_ranks(), matroid.flat_covers()):
+        assert rank == rank_of[flat]
+        expected = {
+            g
+            for g, r in rank_of.items()
+            if r == rank_of[flat] + 1 and flat & ~g == 0
+        }
+        assert {flats[k] for k in ups} == expected
