@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .covering import check_covering_equivalences, is_covering
 from .dependence import minimal_hitting_masks
@@ -33,29 +35,47 @@ from .matroid import GroundSet, SetFamily, TransversalMatroid
 
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_ATTRIBUTES = 15
+EXIT_CODES = {
+    DocumentError: 2,
+    DegenerateMatroidError: 3,
+    DegenerateLatticeError: 3,
+    CapacityError: 4,
+}
 
 # ---------------------------------------------------------------------------
 # document parsing
 
 
+def _read_text(path: str, newline: str | None = None) -> str:
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DocumentError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def _scalars(items) -> bool:
+    # exact types: JSON true and false load as bool, a subclass of int
+    return all(type(e) in (str, int) for e in items)
+
+
 def load_covering_document(path: str) -> SetFamily:
     """Parse a JSON family document into a SetFamily."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    except OSError as exc:
-        raise DocumentError(f"{path}: {exc.strerror}") from None
     if not isinstance(doc, dict) or "universe" not in doc or "blocks" not in doc:
         raise DocumentError(f"{path}: expected an object with 'universe' and 'blocks' keys")
     universe = doc["universe"]
     blocks = doc["blocks"]
     if not isinstance(universe, list) or not universe:
         raise DocumentError(f"{path}: 'universe' must be a nonempty list")
-    if any(not isinstance(e, (str, int)) for e in universe):
+    if not _scalars(universe):
         raise DocumentError(f"{path}: universe elements must be strings or integers")
     if len({str(e) for e in universe}) < len(set(universe)):
         raise DocumentError(f"{path}: two universe elements print identically")
@@ -64,7 +84,7 @@ def load_covering_document(path: str) -> SetFamily:
     for k, block in enumerate(blocks):
         if not isinstance(block, list):
             raise DocumentError(f"{path}: block {k} must be a list")
-        if any(not isinstance(e, (str, int)) for e in block):
+        if not _scalars(block):
             raise DocumentError(f"{path}: block {k} elements must be strings or integers")
     try:
         ground = GroundSet(tuple(universe))
@@ -80,11 +100,8 @@ def load_table_document(path: str) -> InformationSystem:
     attribute names.  Each following row: object name, then one value per
     attribute.  Cells are stripped; empty cells are rejected.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            raw = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
-        raise DocumentError(f"{path}: {exc.strerror}") from None
+    text = _read_text(path, newline="")
+    raw = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if len(raw) < 2:
         raise DocumentError(f"{path}: need a header row and at least one object row")
     header = [cell.strip() for cell in raw[0]]
@@ -123,34 +140,25 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _equivalence_line(report) -> str:
-    return (
-        "covering checks:"
-        f" covering={_yesno(report.covering)}"
-        f" empty-set-closed={_yesno(report.empty_set_closed)}"
-        f" closures-partition={_yesno(report.closures_partition)}"
-        f" closures-are-atoms={_yesno(report.closures_are_atoms)}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _guard_universe(family: SetFamily, limit: int) -> None:
+def _load_matroid(args) -> TransversalMatroid:
+    family = load_covering_document(args.path)
     n = len(family.ground)
-    if n > limit:
+    if n > args.max_elems:
         raise CapacityError(
-            f"universe capped at {limit} elements, got {n}; raise --max-elems to override"
+            f"universe capped at {args.max_elems} elements, got {n};"
+            " raise --max-elems to override"
         )
+    return TransversalMatroid(family)
 
 
 def cmd_lattice(args) -> int:
-    family = load_covering_document(args.path)
-    _guard_universe(family, args.max_elems)
-    matroid = TransversalMatroid(family)
+    matroid = _load_matroid(args)
+    family, ground = matroid.family, matroid.ground
     lattice = build_lattice(matroid)
-    ground = family.ground
     covering = is_covering(family)
     if not covering:
         print("warning: family is not a covering of the universe", file=sys.stderr)
@@ -158,6 +166,7 @@ def cmd_lattice(args) -> int:
     if args.dot:
         sys.stdout.write(lattice.to_dot())
         return 0
+    checks = {} if covering else asdict(check_covering_equivalences(matroid))
 
     if args.json:
         doc = {
@@ -171,14 +180,8 @@ def cmd_lattice(args) -> int:
             "top": lattice.top,
             "covering": covering,
         }
-        if not covering:
-            report = check_covering_equivalences(matroid)
-            doc["covering_checks"] = {
-                "covering": report.covering,
-                "empty_set_closed": report.empty_set_closed,
-                "closures_partition": report.closures_partition,
-                "closures_are_atoms": report.closures_are_atoms,
-            }
+        if checks:
+            doc["covering_checks"] = checks
         print(json.dumps(doc, indent=2))
         return 0
 
@@ -195,16 +198,17 @@ def cmd_lattice(args) -> int:
     print("atoms:", fmt_many(ground, rows.get(1, ())))
     if matroid.ground_rank:
         print("coatoms:", fmt_many(ground, matroid.hyperplane_masks()))
-    if not covering:
-        print(_equivalence_line(check_covering_equivalences(matroid)))
+    if checks:
+        print(
+            "covering checks:",
+            *(f"{name.replace('_', '-')}={_yesno(flag)}" for name, flag in checks.items()),
+        )
     return 0
 
 
 def cmd_reducts(args) -> int:
-    family = load_covering_document(args.path)
-    _guard_universe(family, args.max_elems)
-    matroid = TransversalMatroid(family)
-    ground = family.ground
+    matroid = _load_matroid(args)
+    ground = matroid.ground
     hyperplanes = matroid.hyperplane_masks()
     complements = [ground.full_mask & ~h for h in hyperplanes]
     reducts = minimal_hitting_masks(complements)
@@ -345,15 +349,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateMatroidError, DegenerateLatticeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
     except BrokenPipeError:
         # downstream consumer closed the pipe, e.g. DOT output into head
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -10,7 +10,7 @@ approximation operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -160,12 +160,7 @@ class CoveringEquivalenceReport:
 
     @property
     def statements(self) -> tuple[bool, bool, bool, bool]:
-        return (
-            self.covering,
-            self.empty_set_closed,
-            self.closures_partition,
-            self.closures_are_atoms,
-        )
+        return astuple(self)
 
     @property
     def consistent(self) -> bool:
@@ -175,20 +170,10 @@ class CoveringEquivalenceReport:
 def check_covering_equivalences(matroid: TransversalMatroid) -> CoveringEquivalenceReport:
     """Evaluate all four covering characterizations on the matroid's family."""
     ground = matroid.ground
-    closure_masks = [matroid.closure_mask(1 << i) for i in range(len(ground))]
-    image = sorted(set(closure_masks))
-
-    partition = True
-    union = 0
-    for k, cls in enumerate(image):
-        if cls == 0:
-            partition = False
-            break
-        union |= cls
-        if any(cls & other for other in image[:k]):
-            partition = False
-            break
-    partition = partition and union == ground.full_mask
+    image = {matroid.closure_mask(1 << i) for i in range(len(ground))}
+    # each element lies in its own closure, so the distinct closures cover
+    # the ground set; they are pairwise disjoint iff their sizes sum to n
+    partition = sum(c.bit_count() for c in image) == len(ground)
 
     atom_masks = {
         m for m, r in zip(matroid.flat_masks(), matroid.flat_ranks()) if r == 1
@@ -198,5 +183,5 @@ def check_covering_equivalences(matroid: TransversalMatroid) -> CoveringEquivale
         covering=is_covering(matroid.family),
         empty_set_closed=matroid.closure_mask(0) == 0,
         closures_partition=partition,
-        closures_are_atoms=set(image) == atom_masks,
+        closures_are_atoms=image == atom_masks,
     )

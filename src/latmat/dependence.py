@@ -141,25 +141,38 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
 
     found: list[int] = []
 
-    def descend(chosen: int, banned: int, pending: list[int]) -> None:
-        if not pending:
-            private = 0
-            for t in target_masks:
-                hit = t & chosen
-                if hit & (hit - 1) == 0:
-                    private |= hit
-            if private == chosen:
-                found.append(chosen)
-            return
+    def keep_if_minimal(chosen: int) -> None:
+        private = 0
+        for t in target_masks:
+            hit = t & chosen
+            if hit & (hit - 1) == 0:
+                private |= hit
+        if private == chosen:
+            found.append(chosen)
+
+    # an explicit stack, so the depth is not bounded by the recursion limit;
+    # a frame holds its parent's pending targets and the bit it adds to them
+    stack = [(0, 0, 0, target_masks)]
+    while stack:
+        chosen, banned, bit, pending = stack.pop()
+        pending = [t for t in pending if not t & bit]
+        common = -1
+        for t in pending:
+            common &= t
         pivot = min(pending, key=lambda t: (t & ~banned).bit_count())
         options = sorted(iter_bits(pivot & ~banned), key=lambda i: (-frequency[i], i))
-        veto = banned
-        for i in options:
+        # pushed last option first, so they pop in option order; each option
+        # bans the alternatives tried before it.  An element of every pending
+        # target completes a hitter at once.
+        veto = banned | pivot
+        for i in reversed(options):
             bit = 1 << i
-            descend(chosen | bit, veto, [t for t in pending if not t & bit])
-            veto |= bit
+            veto ^= bit
+            if bit & common:
+                keep_if_minimal(chosen | bit)
+            else:
+                stack.append((chosen | bit, veto, bit, pending))
 
-    descend(0, 0, target_masks)
     found.sort(key=size_then_members(width))
     return found
 

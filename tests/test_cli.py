@@ -143,7 +143,9 @@ def test_load_covering_rejects_ambiguous_universe(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "member", ["[1, 2]", '{"a": 1}', "1.0"], ids=["nested-list", "object", "float"]
+    "member",
+    ["[1, 2]", '{"a": 1}', "1.0", "true"],
+    ids=["nested-list", "object", "float", "bool"],
 )
 def test_lattice_rejects_non_scalar_block_member(tmp_path, capsys, member):
     path = tmp_path / "bad.json"
@@ -154,6 +156,33 @@ def test_lattice_rejects_non_scalar_block_member(tmp_path, capsys, member):
     out = capsys.readouterr()
     assert out.out == ""
     assert "block 1 elements must be strings or integers" in out.err
+
+
+def test_reducts_rejects_boolean_universe_element(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"universe": [true, 2], "blocks": [[2]]}')
+    assert main(["reducts", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "universe elements must be strings or integers" in out.err
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("lattice", "doc.json", '{"universe": ["é"], "blocks": [["é"]]}'),
+        ("infosys", "table.csv", "object,a\nx1,é\nx2,b\n"),
+    ],
+    ids=["lattice-json", "infosys-csv"],
+)
+def test_non_utf8_file_is_parse_error(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text"), out.err
 
 
 def test_load_table_document(weather_file):

@@ -182,6 +182,13 @@ def test_hitting_sets_drop_branching_stray():
     )
 
 
+def test_hitting_sets_deeper_than_recursion_limit():
+    """One singleton target per element: the search chooses 1,100 elements deep."""
+    ground = GroundSet(tuple(range(1100)))
+    targets = [{i} for i in range(1100)]
+    assert minimal_hitting_sets(ground, targets) == (frozenset(range(1100)),)
+
+
 @given(set_families(max_elements=6, max_blocks=5))
 @settings(max_examples=100, deadline=None)
 def test_hitting_sets_match_scan(family):
