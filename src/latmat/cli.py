@@ -3,9 +3,13 @@
 Coverings and families arrive as JSON documents with ``universe`` and
 ``blocks`` keys; information tables arrive as CSV with attribute names in the
 header row and object names in the first column.  All outputs are
-byte-deterministic for identical inputs.
+byte-deterministic for identical inputs.  Every output is rendered from
+masks through the token tables of ``GroundSet``; ``--json`` documents go
+through one writer, :func:`to_json`.
 
-Exit codes: 0 success, 2 parse error, 3 degenerate input, 4 capacity guard.
+Exit codes: 0 success, 2 parse error, 4 capacity guard.  Code 3 (degenerate
+input) is reserved: every family the loader accepts has rank at least 1, so
+no document reaches it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from .covering import check_covering_equivalences, is_covering
 from .dependence import minimal_hitting_masks
@@ -31,7 +36,7 @@ from .errors import (
 )
 from .infosys import InformationSystem
 from .lattice import build_lattice
-from .matroid import GroundSet, SetFamily, TransversalMatroid
+from .matroid import GroundSet, SetFamily, TransversalMatroid, pick
 
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_ATTRIBUTES = 15
@@ -77,6 +82,12 @@ def load_covering_document(path: str) -> SetFamily:
         raise DocumentError(f"{path}: 'universe' must be a nonempty list")
     if not _scalars(universe):
         raise DocumentError(f"{path}: universe elements must be strings or integers")
+    try:  # JSON escapes can spell lone surrogates, which no output can print
+        for e in universe:
+            if type(e) is str:
+                e.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DocumentError(f"{path}: universe element {e!r} is not valid Unicode text") from None
     if len({str(e) for e in universe}) < len(set(universe)):
         raise DocumentError(f"{path}: two universe elements print identically")
     if not isinstance(blocks, list) or not blocks:
@@ -132,6 +143,54 @@ def load_table_document(path: str) -> InformationSystem:
 # rendering helpers
 
 
+class Members:
+    """A mask of ``ground`` that :func:`to_json` writes as the list of its members."""
+
+    __slots__ = ("ground", "mask")
+
+    def __init__(self, ground: GroundSet, mask: int):
+        self.ground = ground
+        self.mask = mask
+
+
+def to_json(value, pad: str = "\n") -> str:
+    """``value`` written exactly as ``json.dumps(value, indent=2)`` writes it.
+
+    ``value`` nests dicts with string keys, lists, tuples, strings, ints,
+    bools, None and :class:`Members`, whose members are written from
+    ``GroundSet.tokens``.  ``pad`` is the newline and indent of the level
+    that holds ``value``.
+    """
+    kind = type(value)
+    if kind is Members:
+        items = pick(value.ground.tokens, value.mask)
+    elif kind is list or kind is tuple:
+        inner = pad + "  "
+        items = [to_json(v, inner) for v in value]
+    elif kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            f"{encode_basestring_ascii(k)}: {to_json(v, inner)}" for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif kind is int:
+        return str(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def fmt_many(ground: GroundSet, masks) -> str:
     return " ".join(map(ground.label, masks))
 
@@ -170,9 +229,9 @@ def cmd_lattice(args) -> int:
 
     if args.json:
         doc = {
-            "universe": ground.elements,
+            "universe": Members(ground, ground.full_mask),
             "flats": [
-                {"members": ground.members(mask), "height": height}
+                {"members": Members(ground, mask), "height": height}
                 for mask, height in zip(lattice.masks, lattice.heights)
             ],
             "covers": lattice.covers,
@@ -182,10 +241,10 @@ def cmd_lattice(args) -> int:
         }
         if checks:
             doc["covering_checks"] = checks
-        print(json.dumps(doc, indent=2))
+        print(to_json(doc))
         return 0
 
-    print("universe:", " ".join(str(e) for e in ground.elements))
+    print("universe:", " ".join(ground.texts))
     print("blocks:", fmt_many(ground, family.block_masks))
     print("covering:", _yesno(covering))
     print("rank:", matroid.ground_rank)
@@ -215,16 +274,16 @@ def cmd_reducts(args) -> int:
 
     if args.json:
         doc = {
-            "universe": ground.elements,
+            "universe": Members(ground, ground.full_mask),
             "rank": matroid.ground_rank,
-            "hyperplanes": [ground.members(h) for h in hyperplanes],
-            "complements": [ground.members(c) for c in complements],
-            "reducts": [ground.members(r) for r in reducts],
+            "hyperplanes": [Members(ground, h) for h in hyperplanes],
+            "complements": [Members(ground, c) for c in complements],
+            "reducts": [Members(ground, r) for r in reducts],
         }
-        print(json.dumps(doc, indent=2))
+        print(to_json(doc))
         return 0
 
-    print("universe:", " ".join(str(e) for e in ground.elements))
+    print("universe:", " ".join(ground.texts))
     print("rank:", matroid.ground_rank)
     print(f"hyperplanes ({len(hyperplanes)}):", fmt_many(ground, hyperplanes))
     print(f"complements ({len(complements)}):", fmt_many(ground, complements))
@@ -268,23 +327,23 @@ def cmd_infosys(args) -> int:
 
     if args.json:
         doc = {
-            "objects": list(system.objects),
-            "attributes": list(system.attributes),
+            "objects": Members(objects, objects.full_mask),
+            "attributes": Members(attributes, attributes.full_mask),
             "decision": args.decision,
             "partitions": {
-                str(a): [objects.members(b) for b in system.partition_masks(1 << j)]
+                a: [Members(objects, b) for b in system.partition_masks(1 << j)]
                 for j, a in enumerate(system.attributes)
             },
-            "attribute_blocks": [attributes.members(b) for b in system.quotient_masks],
+            "attribute_blocks": [Members(attributes, b) for b in system.quotient_masks],
             "condition_holds": condition,
             "method": method,
-            "reducts": [attributes.members(r) for r in reducts],
+            "reducts": [Members(attributes, r) for r in reducts],
         }
-        print(json.dumps(doc, indent=2))
+        print(to_json(doc))
         return 0
 
-    print("objects:", " ".join(str(x) for x in system.objects))
-    print("attributes:", " ".join(str(a) for a in system.attributes))
+    print("objects:", " ".join(objects.texts))
+    print("attributes:", " ".join(attributes.texts))
     if args.decision is not None:
         print(f"decision column: {args.decision} (excluded from reduction)")
     print("partitions:")

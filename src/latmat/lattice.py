@@ -18,6 +18,10 @@ from .matroid import GroundSet, TransversalMatroid
 __all__ = ["GeometricLattice", "GeometricityReport", "build_lattice"]
 
 
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 @dataclass(frozen=True)
 class GeometricityReport:
     """Outcome of the atomicity and height-semimodularity checks."""
@@ -159,18 +163,28 @@ class GeometricLattice:
     # rendering ------------------------------------------------------------
 
     def to_dot(self) -> str:
-        """Hasse diagram as a deterministic DOT digraph, one rank row per height."""
-        lines = ["digraph flats {", "  rankdir=BT;", "  node [shape=box];"]
-        for i, mask in enumerate(self.masks):
-            lines.append(f'  n{i} [label="{self.ground.label(mask)}"];')
-        for h in range(self.heights[self.top] + 1):
-            row = [f"n{i}" for i, hh in enumerate(self.heights) if hh == h]
-            if row:
-                lines.append("  { rank=same; " + "; ".join(row) + "; }")
-        for i, ups in enumerate(self.covers):
-            for j in ups:
-                lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
+        """Hasse diagram as a deterministic DOT digraph, one rank row per height.
+
+        Labels escape ``\\`` and ``"``, so Graphviz prints them as
+        :meth:`GroundSet.label` writes them.
+        """
+        label = self.ground.label
+        ids = [f"n{i}" for i in range(len(self.masks))]
+        rows: dict[int, list[str]] = {}
+        for node, height in zip(ids, self.heights):
+            rows.setdefault(height, []).append(node)
+        lines = [
+            "digraph flats {",
+            "  rankdir=BT;",
+            "  node [shape=box];",
+            *[
+                f'  {node} [label="{_dot_escape(label(mask))}"];'
+                for node, mask in zip(ids, self.masks)
+            ],
+            *["  { rank=same; " + "; ".join(row) + "; }" for _, row in sorted(rows.items())],
+            *[f"  {ids[i]} -> {ids[j]};" for i, ups in enumerate(self.covers) for j in ups],
+            "}",
+        ]
         return "\n".join(lines) + "\n"
 
 

@@ -15,11 +15,19 @@ numbering, so enumeration order is deterministic for a fixed ground order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateMatroidError, UnknownElementError
 
-__all__ = ["GroundSet", "SetFamily", "TransversalMatroid", "iter_bits", "size_then_members"]
+__all__ = [
+    "GroundSet",
+    "SetFamily",
+    "TransversalMatroid",
+    "iter_bits",
+    "pick",
+    "size_then_members",
+]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -28,6 +36,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def pick(table: Sequence, mask: int) -> list:
+    """Entries of ``table`` at the set bits of ``mask``, lowest bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(table[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def size_then_members(width: int) -> Callable[[int], tuple[int, int]]:
@@ -45,10 +63,17 @@ def size_then_members(width: int) -> Callable[[int], tuple[int, int]]:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Ordered universe of distinct elements with a stable bit numbering."""
+    """Ordered universe of distinct elements with a stable bit numbering.
+
+    ``texts[i]`` is element ``i`` as printed, ``str(e)``; ``tokens[i]`` is
+    it as a JSON literal, for the string and integer elements that documents
+    hold.  Both are computed once, and every rendering reads them.
+    """
 
     elements: tuple[Hashable, ...]
     full_mask: int = field(init=False, repr=False, compare=False)
+    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,6 +87,12 @@ class GroundSet:
             index[element] = i
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "full_mask", (1 << len(elements)) - 1)
+        object.__setattr__(self, "texts", tuple(map(str, elements)))
+        object.__setattr__(
+            self,
+            "tokens",
+            tuple(encode_basestring_ascii(e) if isinstance(e, str) else str(e) for e in elements),
+        )
         object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
@@ -91,11 +122,11 @@ class GroundSet:
 
     def members(self, mask: int) -> tuple:
         """Members of ``mask`` in ground order."""
-        return tuple(self.elements[i] for i in iter_bits(mask))
+        return tuple(pick(self.elements, mask))
 
     def label(self, mask: int) -> str:
         """``mask`` printed as ``{a,b}``, members in ground order."""
-        return "{" + ",".join(str(e) for e in self.members(mask)) + "}"
+        return "{" + ",".join(pick(self.texts, mask)) + "}"
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """CLI front end: parsing, subcommands, output determinism, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -12,13 +14,21 @@ from hypothesis import strategies as st
 
 from latmat import (
     DocumentError,
+    GroundSet,
     InformationSystem,
     TransversalMatroid,
     build_lattice,
     complement_family,
     reducts_via_hyperplanes,
 )
-from latmat.cli import build_parser, load_covering_document, load_table_document, main
+from latmat.cli import (
+    Members,
+    build_parser,
+    load_covering_document,
+    load_table_document,
+    main,
+    to_json,
+)
 from strategies import information_systems
 
 COVERING_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4, 5]]}'
@@ -185,6 +195,23 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys, command, name, text):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text"), out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice"], ["lattice", "--dot"], ["lattice", "--json"], ["reducts"], ["reducts", "--json"]],
+    ids=" ".join,
+)
+def test_lone_surrogate_element_is_parse_error(tmp_path, capsys, argv):
+    # the JSON escape \ud800 loads as a lone surrogate, which no output encodes
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"universe": ["\\ud800", "c"], "blocks": [["\\ud800", "c"]]}')
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.err
+    assert "is not valid Unicode text" in lines[0]
+
+
 def test_load_table_document(weather_file):
     system = load_table_document(weather_file)
     assert system.objects == ("x1", "x2", "x3", "x4")
@@ -232,6 +259,26 @@ def test_lattice_dot(covering_file, capsys):
     assert dot.startswith("digraph flats {")
     assert dot.count("[label=") == 12
     assert dot.count("->") == 22
+
+
+def test_lattice_dot_escapes_labels(tmp_path, capsys):
+    path = tmp_path / "quotes.json"
+    universe = ['a"b', "c", "d\\", '\\"e']
+    blocks = [['a"b', "c"], ["d\\"], ['\\"e', "c"]]
+    path.write_text(json.dumps({"universe": universe, "blocks": blocks}))
+    family = load_covering_document(str(path))
+    lattice = build_lattice(TransversalMatroid(family))
+    assert main(["lattice", str(path), "--dot"]) == 0
+    # a DOT quoted string holds no bare '"'; Graphviz reads \" as a quote and,
+    # inside a label, \\ as one backslash
+    quoted = re.compile(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+    labels = {}
+    for line in capsys.readouterr().out.splitlines():
+        if "[label=" in line:
+            match = quoted.fullmatch(line)
+            assert match, line
+            labels[int(match[1])] = re.sub(r"\\(.)", r"\1", match[2])
+    assert labels == {i: family.ground.label(m) for i, m in enumerate(lattice.masks)}
 
 
 def test_lattice_json_roundtrip(covering_file, capsys):
@@ -429,6 +476,73 @@ def test_infosys_matches_library(drawn, force_brute):
     lines = text_out.splitlines()
     start = lines.index(f"reducts ({len(reducts)}) via {method}:") + 1
     assert lines[start:] == ["  {" + ",".join(r) + "}" for r in reducts]
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800é€😀'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | JSON_TEXT,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.tuples(children, children)
+        | st.dictionaries(JSON_TEXT, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_to_json_matches_json_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@given(st.lists(JSON_TEXT | st.integers(), min_size=1, max_size=8, unique_by=str), st.data())
+@settings(max_examples=100, deadline=None)
+def test_to_json_writes_members_from_tokens(elements, data):
+    ground = GroundSet(tuple(elements))
+    masks = data.draw(st.lists(st.integers(0, ground.full_mask), max_size=4))
+    value = {"sets": [Members(ground, m) for m in masks], "all": Members(ground, ground.full_mask)}
+    expected = {"sets": [list(ground.members(m)) for m in masks], "all": list(elements)}
+    assert to_json(value) == json.dumps(expected, indent=2)
+
+
+# element names for documents: quotes, backslashes, commas, braces, non-ASCII
+# and control characters, but no whitespace, which table cells lose
+NAME = st.text(st.sampled_from('ab"\\,{}é€😀\x01\x7f'), min_size=1, max_size=4)
+
+
+@given(st.lists(NAME, min_size=1, max_size=5, unique=True), st.data())
+@settings(max_examples=40, deadline=None)
+def test_json_documents_on_string_universes(universe, data):
+    blocks = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(universe), min_size=1, unique=True), min_size=1, max_size=4
+        )
+    )
+    objects = data.draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
+    rows = data.draw(
+        st.lists(
+            st.lists(NAME, min_size=len(universe), max_size=len(universe)),
+            min_size=len(objects),
+            max_size=len(objects),
+        )
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        family = os.path.join(tmp, "family.json")
+        with open(family, "w", encoding="utf-8") as handle:
+            json.dump({"universe": universe, "blocks": blocks}, handle)
+        table = os.path.join(tmp, "table.csv")
+        with open(table, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["object", *universe])
+            writer.writerows([x, *row] for x, row in zip(objects, rows))
+        for argv in (["lattice", family], ["reducts", family], ["infosys", table]):
+            code, out = _run([*argv, "--json"])
+            assert code == 0, argv
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 # ---------------------------------------------------------------------------
