@@ -68,12 +68,17 @@ def _scalars(items) -> bool:
 
 def load_covering_document(path: str) -> SetFamily:
     """Parse a JSON family document into a SetFamily."""
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # an integer literal past int()'s digit limit
+        raise DocumentError(f"{path}: parse error: a number has too many digits") from None
+    except RecursionError:
+        raise DocumentError(f"{path}: parse error: lists or objects nested too deeply") from None
     if not isinstance(doc, dict) or "universe" not in doc or "blocks" not in doc:
         raise DocumentError(f"{path}: expected an object with 'universe' and 'blocks' keys")
     universe = doc["universe"]
@@ -111,8 +116,11 @@ def load_table_document(path: str) -> InformationSystem:
     attribute names.  Each following row: object name, then one value per
     attribute.  Cells are stripped; empty cells are rejected.
     """
-    text = _read_text(path, newline="")
-    raw = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    try:
+        raw = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DocumentError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(raw) < 2:
         raise DocumentError(f"{path}: need a header row and at least one object row")
     header = [cell.strip() for cell in raw[0]]

@@ -3,10 +3,11 @@
 A family of nonempty blocks over a finite ground set induces a matroid whose
 independent sets are the partial transversals of the family: the subsets that
 can be matched injectively into blocks containing them.  Rank is therefore a
-maximum bipartite matching size, and the closure of a subset collects every
-element whose arrival cannot enlarge that matching.  One pass over the flats,
-rank by rank, yields them together with their ranks and Hasse covers; each
-flat is closed once, and a flat reuses the covers already found one rank up.
+maximum bipartite matching size.  One breadth-first sweep over a matching, the
+alternating forest of Kuhn's method, gives both the closure and a path that
+matches each element outside it.  One pass over the flats, rank by rank,
+yields them together with their ranks and Hasse covers; each flat is closed
+once, and a flat reuses the covers already found one rank up.
 
 All subset arithmetic runs on bitmask encodings with a stable element-to-bit
 numbering, so enumeration order is deterministic for a fixed ground order.
@@ -163,9 +164,9 @@ class TransversalMatroid:
     """Matroid whose independent sets are the partial transversals of a family.
 
     Rank is the size of a maximum matching of elements into blocks containing
-    them.  Closure sweeps one maximum matching of the subset: a block is
-    free-reaching when it is unmatched or its owner lies in a free-reaching
-    block, and the closure adds every element touching no free-reaching block.
+    them.  A sweep over a matching reaches the free-reaching blocks, those
+    unmatched or owned by an element of one; the closure adds every element
+    they miss, and each element they hold is matched by one walk back.
     The first :meth:`flat_masks` call enumerates the flats with their ranks
     and Hasse covers; apart from that record, instances are immutable.
     """
@@ -173,42 +174,50 @@ class TransversalMatroid:
     def __init__(self, family: SetFamily):
         self.family = family
         self.ground = family.ground
-        element_blocks: list[list[int]] = [[] for _ in range(len(self.ground))]
-        for b, mask in enumerate(family.block_masks):
-            for i in iter_bits(mask):
-                element_blocks[i].append(b)
-        self._element_blocks = tuple(tuple(bs) for bs in element_blocks)
         self._flat_record: tuple | None = None  # (masks, ranks, covers)
         self.ground_rank = self.rank_mask(self.ground.full_mask)
 
     # mask-level core --------------------------------------------------
 
-    def _augment(self, i: int, owner: list[int]) -> bool:
-        """Try to match element ``i``, displacing owners along alternating paths.
+    def _closed(self, mask: int, owner: list[int]) -> tuple[int, list[int]]:
+        """Closure of ``mask`` and ``into``, given a maximum matching ``owner`` of it.
 
-        Depth-first, blocks in ascending order, each visited once; the explicit
-        stack lets alternating paths grow longer than the recursion limit.
+        Breadth-first from the unmatched blocks, a block is queued once its
+        owner is reached, so only free-reaching blocks are visited.
+        ``into[i]`` is the block that first reached element ``i``, or -1.
         """
-        seen = 0
-        stack = [(i, iter(self._element_blocks[i]))]
-        path: list[int] = []  # path[k]: the block stack[k] moves into
-        while stack:
-            for b in stack[-1][1]:
-                if not seen >> b & 1:
-                    break
+        blocks = self.family.block_masks
+        into = [-1] * len(self.ground)
+        held = into.copy()  # per element, the block it owns or -1
+        queue = []
+        for b, i in enumerate(owner):
+            if i < 0:
+                queue.append(b)
             else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen |= 1 << b
-            path.append(b)
-            if owner[b] < 0:
-                for (element, _), block in zip(stack, path):
-                    owner[block] = element
-                return True
-            stack.append((owner[b], iter(self._element_blocks[owner[b]])))
-        return False
+                held[i] = b
+        reached = 0
+        for b in queue:
+            new = blocks[b] & ~reached
+            reached |= new
+            while new:
+                low = new & -new
+                i = low.bit_length() - 1
+                into[i] = b
+                if held[i] >= 0:
+                    queue.append(held[i])
+                new ^= low
+        return mask | (self.ground.full_mask & ~reached), into
+
+    @staticmethod
+    def _shift(i: int, owner: list[int], into: list[int]) -> None:
+        """Match element ``i``, reached by the sweep that gave ``into``.
+
+        Each block's owner moves to the block that reached it, which was
+        queued earlier, so the walk ends at an unmatched block.
+        """
+        while i >= 0:
+            b = into[i]
+            owner[b], i = i, owner[b]
 
     def _matching(self, mask: int) -> list[int]:
         """Maximum matching of the elements of ``mask`` into blocks.
@@ -217,27 +226,16 @@ class TransversalMatroid:
         """
         owner = [-1] * self.family.size
         for i in iter_bits(mask):
-            self._augment(i, owner)
+            into = self._closed(0, owner)[1]
+            if into[i] >= 0:
+                self._shift(i, owner, into)
         return owner
-
-    def _closed(self, mask: int, owner: list[int]) -> int:
-        """Closure of ``mask``, given a maximum matching ``owner`` of it."""
-        blocks = self.family.block_masks
-        reached = 0  # elements touching a free-reaching block
-        grew = True
-        while grew:
-            grew = False
-            for b, i in enumerate(owner):
-                if (i < 0 or reached >> i & 1) and blocks[b] & ~reached:
-                    reached |= blocks[b]
-                    grew = True
-        return mask | (self.ground.full_mask & ~reached)
 
     def rank_mask(self, mask: int) -> int:
         return sum(1 for i in self._matching(mask) if i >= 0)
 
     def closure_mask(self, mask: int) -> int:
-        return self._closed(mask, self._matching(mask))
+        return self._closed(mask, self._matching(mask))[0]
 
     def flat_masks(self) -> tuple[int, ...]:
         """All closed sets, sorted by (rank, member indices).
@@ -248,30 +246,31 @@ class TransversalMatroid:
         *Matroid Theory*, section 1.7).  So F first takes the covers already
         found in its level, looked up through a per-element mask of the
         found flats holding that element, and strikes their elements.  Each
-        element left yields a new cover cl(F + e): F's maximum matching,
-        grown by one augmenting path, is swept once and kept for the cover.
+        element left yields a new cover cl(F + e): F's matching takes e by
+        one walk along F's sweep, and the grown matching is swept once and
+        kept, with its sweep, for the cover.
         Every flat is thus closed exactly once, and each cover is recorded
         as a Hasse edge (see :meth:`flat_ranks`, :meth:`flat_covers`).
         """
         if self._flat_record is None:
             full = self.ground.full_mask
             unmatched = [-1] * self.family.size
-            loops = self._closed(0, unmatched)
-            level = {loops: unmatched}
+            loops, into = self._closed(0, unmatched)
+            level = {loops: (unmatched, into)}
             masks: list[int] = []
             ranks: list[int] = []
             ups: list[list[int]] = []
             while level:
-                # flats of the next rank found so far, with their matchings;
-                # ``found`` lists them in order, and per element ``holders``
-                # has a mask of the positions of the flats holding it
-                above: dict[int, list[int]] = {}
+                # flats of the next rank found so far, with their matchings
+                # and sweeps; ``found`` lists them in order, and per element
+                # ``holders`` has a mask of the positions of the flats holding it
+                above: dict[int, tuple[list[int], list[int]]] = {}
                 found: list[int] = []
                 holders = [0] * len(self.ground)
                 # flats of one rank differ in size and are ordered by their
                 # members alone, so the (size, members) key does not apply
                 for flat in sorted(level, key=lambda m: tuple(iter_bits(m))):
-                    owner = level[flat]
+                    owner, into = level[flat]
                     masks.append(flat)
                     ranks.append(len(owner) - owner.count(-1))
                     ups.append([])
@@ -287,11 +286,11 @@ class TransversalMatroid:
                     while rest:
                         bit = rest & -rest
                         grown = owner.copy()
-                        self._augment(bit.bit_length() - 1, grown)
-                        cover = self._closed(flat | bit, grown)
+                        self._shift(bit.bit_length() - 1, grown, into)
+                        cover, reach = self._closed(flat | bit, grown)
                         rest &= ~cover
                         ups[-1].append(cover)
-                        above[cover] = grown
+                        above[cover] = grown, reach
                         slot = 1 << len(found)
                         found.append(cover)
                         for i in iter_bits(cover & ~loops):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from latmat import (
     DocumentError,
     GroundSet,
@@ -29,7 +30,7 @@ from latmat.cli import (
     main,
     to_json,
 )
-from strategies import information_systems
+from strategies import information_systems, set_families
 
 COVERING_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4, 5]]}'
 FAMILY_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4]]}'
@@ -193,6 +194,25 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys, command, name, text):
     assert out.out == ""
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text"), out.err
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("lattice", "doc.json", '{"universe": [' + "1" * 5000 + '], "blocks": [[1]]}'),
+        ("reducts", "doc.json", '{"universe": [1], "blocks": %s}' % ("[" * 10**5 + "]" * 10**5)),
+        ("infosys", "table.csv", "object,a\nx1," + "v" * 131_073 + "\nx2,b\n"),
+    ],
+    ids=["integer-over-4300-digits", "arrays-nested-100000-deep", "csv-cell-over-field-limit"],
+)
+def test_oversized_input_is_parse_error(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), out.err
 
 
 @pytest.mark.parametrize(
@@ -476,6 +496,34 @@ def test_infosys_matches_library(drawn, force_brute):
     lines = text_out.splitlines()
     start = lines.index(f"reducts ({len(reducts)}) via {method}:") + 1
     assert lines[start:] == ["  {" + ",".join(r) + "}" for r in reducts]
+
+
+@given(set_families(max_elements=6))
+@settings(max_examples=60, deadline=None)
+def test_family_commands_match_oracles(family):
+    # drawn families need not cover the universe; both commands accept them
+    ground = family.ground
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            blocks = [sorted(block) for block in family.blocks]
+            json.dump({"universe": list(ground), "blocks": blocks}, handle)
+        lattice_code, lattice_out = _run(["lattice", path, "--json"])
+        reducts_code, reducts_out = _run(["reducts", path, "--json"])
+
+    assert lattice_code == reducts_code == 0
+    lattice = json.loads(lattice_out)
+    flats = [ground.mask_of(flat["members"]) for flat in lattice["flats"]]
+    ranks = oracles.rank_table(family)
+    expected_flats = oracles.flat_masks(family)
+    assert len(flats) == len(expected_flats)
+    assert set(flats) == expected_flats
+    assert [flat["height"] for flat in lattice["flats"]] == [ranks[m] for m in flats]
+    covers = {(flats[i], flats[j]) for i, ups in enumerate(lattice["covers"]) for j in ups}
+    assert covers == oracles.cover_pairs(expected_flats)
+    reducts = [ground.mask_of(r) for r in json.loads(reducts_out)["reducts"]]
+    assert len(reducts) == len(set(reducts))
+    assert set(reducts) == oracles.minimal_spanning_masks(family)
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,10 @@ def test_hyperplanes_match_bruteforce(three_block_family):
 
 
 def test_rank_of_long_chain():
-    # blocks {i, i+1}: matching element i first tries block i-1, whose owner
-    # is displaced down the whole chain, an alternating path of length i
+    # blocks {i, i+1}: when element i is matched, blocks i..n-2 are free, so
+    # the sweep queues n-1-i blocks, first reaches i through block i and the
+    # walk takes one step; no free block is left for element n-1.  Neither
+    # the sweep nor the walk recurses, so n may pass the recursion limit
     n = 1100
     family = SetFamily(
         GroundSet(tuple(range(n))),
@@ -307,6 +309,19 @@ def test_rank_closure_flats_match_oracles(family):
         assert matroid.rank_mask(mask) == ranks[mask]
         assert matroid.closure_mask(mask) == closures[mask]
     assert set(matroid.flat_masks()) == oracles.flat_masks(family)
+
+
+@given(set_families(max_elements=7, max_blocks=6))
+@settings(max_examples=100, deadline=None)
+def test_matching_is_a_maximum_matching(family):
+    matroid = TransversalMatroid(family)
+    ranks = oracles.rank_table(family)
+    for mask in range(1 << len(family.ground)):
+        owner = matroid._matching(mask)
+        matched = [(i, b) for b, i in enumerate(owner) if i >= 0]
+        for i, b in matched:
+            assert mask >> i & 1 and family.block_masks[b] >> i & 1
+        assert len({i for i, _ in matched}) == len(matched) == ranks[mask]
 
 
 # ---------------------------------------------------------------------------
