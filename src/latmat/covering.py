@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import NotACoveringError, NotAFlatError
-from .matroid import SetFamily, TransversalMatroid, iter_bits
+from .matroid import SetFamily, TransversalMatroid, iter_bits, members_order
 
 __all__ = [
     "Covering",
@@ -109,9 +109,7 @@ class Covering:
         """
         masks, shared = self._residue_masks()
         masks.extend(1 << i for i in iter_bits(shared))
-        # atoms differ in size and are ordered by their members alone, so the
-        # (size, members) key does not apply
-        masks.sort(key=lambda m: tuple(iter_bits(m)))
+        masks.sort(key=members_order(len(self.ground)))  # atoms are disjoint
         return tuple(self.ground.subset_of(m) for m in masks)
 
     def lower_approx(self, subset: Iterable) -> frozenset:

@@ -4,12 +4,10 @@ A family of nonempty blocks over a finite ground set induces a matroid whose
 independent sets are the partial transversals of the family: the subsets that
 can be matched injectively into blocks containing them.  Rank is therefore a
 maximum bipartite matching size.  One breadth-first sweep over a matching, the
-alternating forest of Kuhn's method, gives both the closure and a path that
-matches each element outside it.  One pass over the flats, rank by rank,
-yields them together with their ranks and Hasse covers; each flat is closed
-once, and a flat reuses the covers already found one rank up.
-
-All subset arithmetic runs on bitmask encodings with a stable element-to-bit
+alternating forest of Kuhn's method, gives the closure and the blocks visited,
+along which one walk back matches any element outside it.  One pass over the
+flats, rank by rank, yields their ranks and Hasse covers, each flat closed
+once.  All subset arithmetic runs on bitmasks with a stable element-to-bit
 numbering, so enumeration order is deterministic for a fixed ground order.
 """
 
@@ -26,6 +24,7 @@ __all__ = [
     "SetFamily",
     "TransversalMatroid",
     "iter_bits",
+    "members_order",
     "pick",
     "size_then_members",
 ]
@@ -49,11 +48,20 @@ def pick(table: Sequence, mask: int) -> list:
     return out
 
 
+def members_order(width: int) -> Callable[[int], int]:
+    """Sort key ordering an antichain of masks below ``2**width`` by members.
+
+    In an antichain no member tuple is a prefix of another, so ascending
+    member tuples are descending bit-reversed masks: one int, not a tuple.
+    """
+    return lambda mask: -int(f"{mask:0{width}b}"[::-1], 2)
+
+
 def size_then_members(width: int) -> Callable[[int], tuple[int, int]]:
     """Sort key ordering masks below ``2**width`` by (size, member indices).
 
-    Within one size, ascending member tuples are descending bit-reversed
-    masks, and one int conversion is cheaper than a tuple.
+    Masks of one size form an antichain, keyed as by :func:`members_order`,
+    written out again so that each mask costs one call.
     """
 
     def key(mask: int) -> tuple[int, int]:
@@ -180,55 +188,49 @@ class TransversalMatroid:
     # mask-level core --------------------------------------------------
 
     def _closed(self, mask: int, owner: list[int]) -> tuple[int, list[int]]:
-        """Closure of ``mask`` and ``into``, given a maximum matching ``owner`` of it.
+        """Closure of ``mask`` and the blocks swept, given a maximum matching ``owner`` of it.
 
         Breadth-first from the unmatched blocks, a block is queued once its
-        owner is reached, so only free-reaching blocks are visited.
-        ``into[i]`` is the block that first reached element ``i``, or -1.
+        owner is reached; the closure adds every element the queue misses.
         """
         blocks = self.family.block_masks
-        into = [-1] * len(self.ground)
-        held = into.copy()  # per element, the block it owns or -1
-        queue = []
+        queue, matched = [], 0
         for b, i in enumerate(owner):
             if i < 0:
                 queue.append(b)
             else:
-                held[i] = b
+                matched |= 1 << i
         reached = 0
         for b in queue:
             new = blocks[b] & ~reached
             reached |= new
+            new &= matched
             while new:
                 low = new & -new
-                i = low.bit_length() - 1
-                into[i] = b
-                if held[i] >= 0:
-                    queue.append(held[i])
+                queue.append(owner.index(low.bit_length() - 1))  # the block it owns
                 new ^= low
-        return mask | (self.ground.full_mask & ~reached), into
+        return mask | (self.ground.full_mask & ~reached), queue
 
-    @staticmethod
-    def _shift(i: int, owner: list[int], into: list[int]) -> None:
-        """Match element ``i``, reached by the sweep that gave ``into``.
+    def _shift(self, i: int, owner: list[int], queue: list[int]) -> None:
+        """Match element ``i``, reached by the sweep that gave ``queue``.
 
-        Each block's owner moves to the block that reached it, which was
+        Each block's owner moves to the first block in ``queue`` holding it,
         queued earlier, so the walk ends at an unmatched block.
         """
+        blocks = self.family.block_masks
         while i >= 0:
-            b = into[i]
+            for b in queue:
+                if blocks[b] >> i & 1:
+                    break
             owner[b], i = i, owner[b]
 
     def _matching(self, mask: int) -> list[int]:
-        """Maximum matching of the elements of ``mask`` into blocks.
-
-        Returns ``owner``: per block, the matched element index or -1.
-        """
+        """Maximum matching ``owner`` of ``mask``: per block, its element index or -1."""
         owner = [-1] * self.family.size
         for i in iter_bits(mask):
-            into = self._closed(0, owner)[1]
-            if into[i] >= 0:
-                self._shift(i, owner, into)
+            closure, queue = self._closed(0, owner)
+            if not closure >> i & 1:
+                self._shift(i, owner, queue)
         return owner
 
     def rank_mask(self, mask: int) -> int:
@@ -241,64 +243,61 @@ class TransversalMatroid:
         """All closed sets, sorted by (rank, member indices).
 
         The first call enumerates them rank by rank from the closure of the
-        empty set.  The covers of a flat F partition the elements outside F,
-        and every flat of the next rank that holds F covers it (Oxley,
-        *Matroid Theory*, section 1.7).  So F first takes the covers already
-        found in its level, looked up through a per-element mask of the
-        found flats holding that element, and strikes their elements.  Each
-        element left yields a new cover cl(F + e): F's matching takes e by
-        one walk along F's sweep, and the grown matching is swept once and
-        kept, with its sweep, for the cover.
-        Every flat is thus closed exactly once, and each cover is recorded
-        as a Hasse edge (see :meth:`flat_ranks`, :meth:`flat_covers`).
+        empty set; a rank is an antichain, sorted by one int key.  A flat one
+        rank up covers a flat F iff it holds a basis of F, and the covers of
+        F partition the elements outside F (Oxley, *Matroid Theory*, 1.7).
+        So F takes the found covers holding its matched basis, and closes
+        each element e left into a new cover cl(F + e), its matching grown by
+        one walk back.  Each flat is closed once and listed by its covers.
         """
         if self._flat_record is None:
             full = self.ground.full_mask
             unmatched = [-1] * self.family.size
-            loops, into = self._closed(0, unmatched)
-            level = {loops: (unmatched, into)}
-            masks: list[int] = []
-            ranks: list[int] = []
-            ups: list[list[int]] = []
+            loops, queue = self._closed(0, unmatched)
+            level = {loops: (unmatched, queue, [])}
+            masks, ranks, covers = [], [], []
+            rank = 0
             while level:
-                # flats of the next rank found so far, with their matchings
-                # and sweeps; ``found`` lists them in order, and per element
-                # ``holders`` has a mask of the positions of the flats holding it
-                above: dict[int, tuple[list[int], list[int]]] = {}
-                found: list[int] = []
-                holders = [0] * len(self.ground)
-                # flats of one rank differ in size and are ordered by their
-                # members alone, so the (size, members) key does not apply
-                for flat in sorted(level, key=lambda m: tuple(iter_bits(m))):
-                    owner, into = level[flat]
+                # the next rank's flats found so far, with their matchings,
+                # swept blocks and lower flats; ``holders[i]`` masks the found
+                # flats holding element i, and ``holders[-1]`` holds them all
+                above, found = {}, []
+                holders = [0] * len(self.ground) + [-1]
+                for flat in sorted(level, key=members_order(len(self.ground))):
+                    owner, queue, lower = level[flat]
+                    here = len(masks)
+                    for k in lower:
+                        covers[k].append(here)
                     masks.append(flat)
-                    ranks.append(len(owner) - owner.count(-1))
-                    ups.append([])
+                    ranks.append(rank)
+                    covers.append([])
                     rest = full & ~flat
-                    # a found flat holding flat is one rank up, so covers it
+                    # a found flat holding flat's matched basis holds flat, so covers it
                     held = (1 << len(found)) - 1
-                    for i in iter_bits(flat & ~loops):
+                    for i in owner:
                         held &= holders[i]
-                    for j in iter_bits(held):
-                        cover = found[j]
-                        ups[-1].append(cover)
+                    while held:
+                        low = held & -held
+                        cover = found[low.bit_length() - 1]
+                        above[cover][2].append(here)
                         rest &= ~cover
+                        held ^= low
                     while rest:
                         bit = rest & -rest
                         grown = owner.copy()
-                        self._shift(bit.bit_length() - 1, grown, into)
+                        self._shift(bit.bit_length() - 1, grown, queue)
                         cover, reach = self._closed(flat | bit, grown)
                         rest &= ~cover
-                        ups[-1].append(cover)
-                        above[cover] = grown, reach
+                        above[cover] = grown, reach, [here]
                         slot = 1 << len(found)
                         found.append(cover)
-                        for i in iter_bits(cover & ~loops):
-                            holders[i] |= slot
-                level = above
-            position = {m: k for k, m in enumerate(masks)}
-            covers = tuple(tuple(sorted(position[c] for c in cs)) for cs in ups)
-            self._flat_record = (tuple(masks), tuple(ranks), covers)
+                        new = cover & ~loops
+                        while new:
+                            low = new & -new
+                            holders[low.bit_length() - 1] |= slot
+                            new ^= low
+                level, rank = above, rank + 1
+            self._flat_record = (tuple(masks), tuple(ranks), tuple(map(tuple, covers)))
         return self._flat_record[0]
 
     def flat_ranks(self) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from latmat import (
     TransversalMatroid,
     UnknownElementError,
 )
+from latmat.matroid import iter_bits
 from strategies import family_and_subsets, set_families
 
 # ---------------------------------------------------------------------------
@@ -375,3 +376,16 @@ def test_flats_and_covers_match_matching_route(family):
             if r == rank_of[flat] + 1 and flat & ~g == 0
         }
         assert {flats[k] for k in ups} == expected
+
+
+@given(set_families(max_elements=8, max_blocks=6))
+@settings(max_examples=100, deadline=None)
+def test_flats_ranks_and_covers_in_order(family):
+    matroid = TransversalMatroid(family)
+    ranks = matroid.flat_ranks()
+    keys = [(r, tuple(iter_bits(m))) for m, r in zip(matroid.flat_masks(), ranks)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert ranks[0] == 0
+    assert all(b - a in (0, 1) for a, b in zip(ranks, ranks[1:]))
+    for ups in matroid.flat_covers():
+        assert all(a < b for a, b in zip(ups, ups[1:]))
