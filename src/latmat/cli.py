@@ -262,9 +262,8 @@ def cmd_lattice(args) -> int:
         rows.setdefault(height, []).append(mask)
     for height, row in rows.items():
         print(f"  height {height}: " + fmt_many(ground, row))
-    print("atoms:", fmt_many(ground, rows.get(1, ())))
-    if matroid.ground_rank:
-        print("coatoms:", fmt_many(ground, matroid.hyperplane_masks()))
+    print("atoms:", fmt_many(ground, rows[1]))
+    print("coatoms:", fmt_many(ground, rows[matroid.ground_rank - 1]))
     if checks:
         print(
             "covering checks:",

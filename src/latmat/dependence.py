@@ -13,12 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
 
-from .errors import (
-    CapacityError,
-    DegenerateMatroidError,
-    EmptyTargetError,
-)
-from .matroid import GroundSet, TransversalMatroid, iter_bits, size_then_members
+from .errors import CapacityError, EmptyTargetError
+from .matroid import GroundSet, TransversalMatroid, size_then_members
 
 __all__ = [
     "DependenceSpace",
@@ -88,8 +84,6 @@ def spaces_equal_on(matroid: TransversalMatroid, *, max_elements: int = 12) -> b
         raise CapacityError(
             f"power-set comparison capped at {max_elements} elements, got {n}"
         )
-    if matroid.ground_rank == 0:
-        raise DegenerateMatroidError("comparison needs at least one hyperplane")
     hyperplanes = [matroid.ground.subset_of(h) for h in matroid.hyperplane_masks()]
     profiles = profile_space(matroid.ground, hyperplanes)
     closures = closure_space(matroid)
@@ -119,9 +113,9 @@ def minimal_hitting_sets(
 def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
     """All inclusion-minimal masks meeting every target mask.
 
-    Depth-first branching on the unmet target with fewest remaining options;
-    within a target, elements are tried in descending hit frequency, and the
-    alternatives already branched are banned below, so no hitter is generated
+    Depth-first branching on the unmet target with fewest remaining options
+    (MMCS, Murakami & Uno 2014).  The options are tried in bit order, and
+    each option's branch bans the lower ones, so no hitter is generated
     twice.  A leaf is kept only when each chosen element is the sole chosen
     member of some target; that drops the non-minimal strays the branching
     can reach.  Output is sorted by (size, member indices); with no targets
@@ -132,12 +126,6 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
         raise EmptyTargetError("an empty target set cannot be hit")
     if not target_masks:
         return [0]
-
-    width = target_masks[-1].bit_length()
-    frequency = [0] * width
-    for t in target_masks:
-        for i in iter_bits(t):
-            frequency[i] += 1
 
     found: list[int] = []
 
@@ -159,21 +147,18 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
         common = -1
         for t in pending:
             common &= t
-        pivot = min(pending, key=lambda t: (t & ~banned).bit_count())
-        options = sorted(iter_bits(pivot & ~banned), key=lambda i: (-frequency[i], i))
-        # pushed last option first, so they pop in option order; each option
-        # bans the alternatives tried before it.  An element of every pending
-        # target completes a hitter at once.
-        veto = banned | pivot
-        for i in reversed(options):
-            bit = 1 << i
-            veto ^= bit
+        options = min((t & ~banned for t in pending), key=int.bit_count)
+        # an element of every pending target completes a hitter at once
+        while options:
+            bit = options & -options
+            options ^= bit
             if bit & common:
                 keep_if_minimal(chosen | bit)
             else:
-                stack.append((chosen | bit, veto, bit, pending))
+                stack.append((chosen | bit, banned, bit, pending))
+            banned |= bit
 
-    found.sort(key=size_then_members(width))
+    found.sort(key=size_then_members(target_masks[-1].bit_length()))
     return found
 
 
@@ -190,8 +175,6 @@ def reducts_via_hyperplanes(matroid: TransversalMatroid) -> tuple[frozenset, ...
     that property, i.e. the reducts of both dependence spaces above.  Output
     is sorted by (size, member indices).
     """
-    if matroid.ground_rank == 0:
-        raise DegenerateMatroidError("a rank-zero matroid has no hyperplane reducts")
     ground = matroid.ground
     masks = minimal_hitting_masks(ground.full_mask & ~h for h in matroid.hyperplane_masks())
     return tuple(ground.subset_of(m) for m in masks)

@@ -317,8 +317,6 @@ class TransversalMatroid:
         return tuple(m for m, r in zip(self.flat_masks(), self.flat_ranks()) if r == want)
 
     def closure_via_hyperplanes_mask(self, mask: int) -> int:
-        if self.rank_mask(mask) == self.ground_rank:
-            return self.ground.full_mask
         closed = self.ground.full_mask
         for h in self.hyperplane_masks():
             if mask & ~h == 0:
@@ -351,9 +349,9 @@ class TransversalMatroid:
     def closure_via_hyperplanes(self, subset: Iterable) -> frozenset:
         """Closure computed as an intersection of enclosing hyperplanes.
 
-        Spanning subsets close to the whole ground set; anything else closes
-        to the intersection of every hyperplane containing it.  Must agree
-        with :meth:`closure` everywhere.
+        The intersection of every hyperplane containing the subset; a
+        spanning subset lies in none and closes to the whole ground set.
+        Must agree with :meth:`closure` everywhere.
         """
         mask = self.ground.mask_of(subset)
         return self.ground.subset_of(self.closure_via_hyperplanes_mask(mask))

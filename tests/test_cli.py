@@ -245,6 +245,21 @@ def test_load_table_rejects_ragged(tmp_path):
         load_table_document(str(path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["object,a\nx1,1\nx1,2\n", "object,a,a\nx1,1,2\n"],
+    ids=["duplicate-object", "duplicate-attribute"],
+)
+def test_infosys_duplicate_name_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "dup.csv"
+    path.write_text(text)
+    assert main(["infosys", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: duplicate "), out.err
+
+
 def test_load_table_rejects_empty_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("object,a,b\nx1,1,\n")

@@ -7,6 +7,7 @@ import oracles
 from latmat import (
     Covering,
     DegenerateLatticeError,
+    GeometricLattice,
     GroundSet,
     NotAFlatError,
     SetFamily,
@@ -195,6 +196,35 @@ def test_verify_geometric_golden(five_point_covering):
 
 def test_verify_geometric_chain():
     assert chain_lattice().verify_geometric().passed
+
+
+def test_verify_geometric_reports_non_atomic_chain():
+    # the chain {} < {1} < {1,2} has one atom, which does not join to the top
+    lattice = GeometricLattice(
+        ground=GroundSet((1, 2)),
+        masks=(0b00, 0b01, 0b11),
+        heights=(0, 1, 2),
+        covers=((1,), (2,), ()),
+    )
+    report = lattice.verify_geometric()
+    assert not report.passed
+    assert (report.atomic, report.atomicity_failure) == (False, frozenset({1, 2}))
+    assert (report.semimodular, report.semimodularity_failure) == (True, None)
+
+
+def test_verify_geometric_reports_non_semimodular_pair():
+    # two disjoint lines under a height-3 top: {1} v {3} skips height 2
+    lattice = GeometricLattice(
+        ground=GroundSet((1, 2, 3, 4)),
+        masks=(0b0000, 0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b1100, 0b1111),
+        heights=(0, 1, 1, 1, 1, 2, 2, 3),
+        covers=((1, 2, 3, 4), (5,), (5,), (6,), (6,), (7,), (7,), ()),
+    )
+    report = lattice.verify_geometric()
+    assert not report.passed
+    assert (report.atomic, report.atomicity_failure) == (True, None)
+    assert report.semimodular is False
+    assert report.semimodularity_failure == (frozenset({1}), frozenset({3}))
 
 
 @given(set_families(max_elements=6))

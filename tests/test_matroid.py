@@ -10,6 +10,8 @@ from latmat import (
     SetFamily,
     TransversalMatroid,
     UnknownElementError,
+    reducts_via_hyperplanes,
+    spaces_equal_on,
 )
 from latmat.matroid import iter_bits
 from strategies import family_and_subsets, set_families
@@ -197,8 +199,10 @@ def test_degenerate_guard_is_unreachable_but_raises():
     family = SetFamily(GroundSet((1,)), (frozenset({1}),))
     matroid = TransversalMatroid(family)
     matroid.ground_rank = 0  # force the defensive branch
-    with pytest.raises(DegenerateMatroidError):
-        matroid.hyperplane_masks()
+    # the reduct routes reach it through hyperplane_masks
+    for route in (TransversalMatroid.hyperplane_masks, reducts_via_hyperplanes, spaces_equal_on):
+        with pytest.raises(DegenerateMatroidError):
+            route(matroid)
 
 
 # ---------------------------------------------------------------------------
