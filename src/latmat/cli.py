@@ -28,7 +28,6 @@ from .covering import check_covering_equivalences, is_covering
 from .dependence import minimal_hitting_masks
 from .errors import (
     CapacityError,
-    ConditionNotSatisfiedError,
     DegenerateLatticeError,
     DegenerateMatroidError,
     DocumentError,
@@ -174,13 +173,14 @@ def to_json(value, pad: str = "\n") -> str:
         items = pick(value.ground.tokens, value.mask)
     elif kind is list or kind is tuple:
         inner = pad + "  "
-        items = [to_json(v, inner) for v in value]
+        items = [str(v) if type(v) is int else to_json(v, inner) for v in value]
     elif kind is dict:
         if not value:
             return "{}"
         inner = pad + "  "
         items = [
-            f"{encode_basestring_ascii(k)}: {to_json(v, inner)}" for k, v in value.items()
+            f"{encode_basestring_ascii(k)}: {str(v) if type(v) is int else to_json(v, inner)}"
+            for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     elif kind is str:
@@ -320,17 +320,12 @@ def cmd_infosys(args) -> int:
     if args.decision is not None:
         system = _drop_decision_column(system, args.decision)
     attributes, objects = system.attribute_ground, system.object_ground
-    method = "brute-force"
-    if args.force_brute:
-        condition = system.check_saturation_condition(max_attributes=args.max_attrs)
-    else:
-        try:  # the quotient rule runs the saturation check itself
-            reducts = system.quotient_reduct_masks(max_attributes=args.max_attrs)
-            condition, method = True, "quotient-rule"
-        except ConditionNotSatisfiedError:
-            condition = False
-    if method == "brute-force":  # the label predates the discernibility route
-        reducts = system.discernibility_reduct_masks(max_attributes=args.max_attrs)
+    condition = system.check_saturation_condition(max_attributes=args.max_attrs)
+    if condition and not args.force_brute:
+        method, route = "quotient-rule", system.quotient_reduct_masks
+    else:  # the label predates the discernibility route
+        method, route = "brute-force", system.discernibility_reduct_masks
+    reducts = route(max_attributes=args.max_attrs)
 
     if args.json:
         doc = {
@@ -397,7 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     inf = sub.add_parser("infosys", help="attribute partitions, quotient and reducts of a table")
     inf.add_argument("path", help="CSV table")
-    inf.add_argument("--force-brute", action="store_true", help="always use the brute-force route")
+    inf.add_argument(
+        "--force-brute",
+        action="store_true",
+        help="always take the discernibility route (labelled brute-force)",
+    )
     inf.add_argument("--json", action="store_true", help="emit results as JSON")
     inf.add_argument("--max-attrs", type=int, default=DEFAULT_MAX_ATTRIBUTES, metavar="N")
     inf.add_argument(

@@ -76,8 +76,9 @@ def closure_space(matroid: TransversalMatroid) -> DependenceSpace:
 def spaces_equal_on(matroid: TransversalMatroid, *, max_elements: int = 12) -> bool:
     """Compare the hyperplane-profile and closure spaces of ``matroid``.
 
-    Exhaustively partitions the power set under both keys and compares the
-    partitions; guarded because the scan is 2**n.
+    Exhaustively keys the power set under both spaces.  The two partitions
+    are equal iff the distinct (profile key, closure key) pairs are as many
+    as the distinct keys on each side; guarded because the scan is 2**n.
     """
     n = len(matroid.ground)
     if n > max_elements:
@@ -87,14 +88,8 @@ def spaces_equal_on(matroid: TransversalMatroid, *, max_elements: int = 12) -> b
     hyperplanes = [matroid.ground.subset_of(h) for h in matroid.hyperplane_masks()]
     profiles = profile_space(matroid.ground, hyperplanes)
     closures = closure_space(matroid)
-    by_profile: dict[Hashable, set[int]] = {}
-    by_closure: dict[Hashable, set[int]] = {}
-    for mask in range(1 << n):
-        by_profile.setdefault(profiles.key_of_mask(mask), set()).add(mask)
-        by_closure.setdefault(closures.key_of_mask(mask), set()).add(mask)
-    return {frozenset(c) for c in by_profile.values()} == {
-        frozenset(c) for c in by_closure.values()
-    }
+    pairs = {(profiles.key_of_mask(m), closures.key_of_mask(m)) for m in range(1 << n)}
+    return len(pairs) == len({p for p, _ in pairs}) == len({c for _, c in pairs})
 
 
 def minimal_hitting_sets(

@@ -86,6 +86,12 @@ class InformationSystem:
         object.__setattr__(self, "object_ground", GroundSet(objects))
         object.__setattr__(self, "_columns", tuple(columns))
 
+    def _cap_attributes(self, what: str, max_attributes: int) -> int:
+        m = len(self.attributes)
+        if m > max_attributes:
+            raise CapacityError(f"{what} capped at {max_attributes} attributes, got {m}")
+        return m
+
     def _attribute_mask(self, attrs: Iterable) -> int:
         try:
             return self.attribute_ground.mask_of(attrs)
@@ -168,11 +174,7 @@ class InformationSystem:
         the partition of R unchanged, so k + 1 partition keys decide it for
         k blocks.  Guarded by ``max_attributes``.
         """
-        m = len(self.attributes)
-        if m > max_attributes:
-            raise CapacityError(
-                f"condition check capped at {max_attributes} attributes, got {m}"
-            )
+        self._cap_attributes("condition check", max_attributes)
         representatives = sum(block & -block for block in self.quotient_masks)
         full_key = self._partition_key_of_mask(representatives)
         return all(
@@ -185,22 +187,26 @@ class InformationSystem:
     def quotient_reduct_masks(self, *, max_attributes: int = 15) -> list[int]:
         """One attribute from each quotient block; every selection is a reduct.
 
-        Valid only when :meth:`check_saturation_condition` holds, which is
-        verified first; the number of reducts is the product of the block
-        sizes.  Output sorted by (size, attribute indices).
+        Valid only when :meth:`check_saturation_condition` holds, which callers
+        check first; the number of reducts is the product of the block sizes.
+        Output sorted by (size, attribute indices).
         """
-        if not self.check_saturation_condition(max_attributes=max_attributes):
-            raise ConditionNotSatisfiedError(
-                "equal partitions do not force equal saturations; "
-                "use discernibility_reducts instead"
-            )
+        self._cap_attributes("condition check", max_attributes)
         bits = [[1 << j for j in iter_bits(block)] for block in self.quotient_masks]
         picks = [sum(combo) for combo in product(*bits)]
         picks.sort(key=size_then_members(len(self.attributes)))
         return picks
 
     def reducts_via_quotient(self, *, max_attributes: int = 15) -> tuple[frozenset, ...]:
-        """Frozenset form of :meth:`quotient_reduct_masks`, same order."""
+        """Frozenset form of :meth:`quotient_reduct_masks`, same order.
+
+        Raises ``ConditionNotSatisfiedError`` unless the saturation check holds.
+        """
+        if not self.check_saturation_condition(max_attributes=max_attributes):
+            raise ConditionNotSatisfiedError(
+                "equal partitions do not force equal saturations; "
+                "use discernibility_reducts instead"
+            )
         masks = self.quotient_reduct_masks(max_attributes=max_attributes)
         return tuple(map(self.attribute_ground.subset_of, masks))
 
@@ -213,11 +219,7 @@ class InformationSystem:
         (size, attribute indices), the order of :meth:`brute_force_reducts`;
         guarded by ``max_attributes`` like it.
         """
-        m = len(self.attributes)
-        if m > max_attributes:
-            raise CapacityError(
-                f"discernibility reduct search capped at {max_attributes} attributes, got {m}"
-            )
+        m = self._cap_attributes("discernibility reduct search", max_attributes)
         # Each distinct row is packed into one int with a field of w + 1 bits
         # per attribute, its class id in the low w bits.  Adding 2**w - 1 to
         # every field of u ^ v carries into the field's top bit iff rows u
@@ -252,11 +254,7 @@ class InformationSystem:
         kept reduct are skipped.  The oracle for the quotient rule and for
         :meth:`discernibility_reducts`, guarded by ``max_attributes``.
         """
-        m = len(self.attributes)
-        if m > max_attributes:
-            raise CapacityError(
-                f"brute-force reduct scan capped at {max_attributes} attributes, got {m}"
-            )
+        m = self._cap_attributes("brute-force reduct scan", max_attributes)
         full_key = self._partition_key_of_mask((1 << m) - 1)
         kept: list[int] = []
         for mask in sorted(range(1 << m), key=size_then_members(m)):

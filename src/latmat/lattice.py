@@ -70,13 +70,15 @@ class GeometricLattice:
 
     # order queries ------------------------------------------------------
 
-    def index_of(self, flat: Iterable) -> int:
-        mask = self.ground.mask_of(flat)
+    def _index(self, mask: int) -> int:
         try:
             return self._position[mask]
         except KeyError:
             label = self.ground.label(mask)
             raise NotAFlatError(f"{label} is not a flat of this lattice") from None
+
+    def index_of(self, flat: Iterable) -> int:
+        return self._index(self.ground.mask_of(flat))
 
     def height_of(self, flat: Iterable) -> int:
         return self.heights[self.index_of(flat)]
@@ -91,13 +93,13 @@ class GeometricLattice:
 
     def meet(self, x: Iterable, y: Iterable) -> frozenset:
         """Greatest lower bound: plain intersection, itself a flat."""
-        i, j = self.index_of(x), self.index_of(y)
-        return self.ground.subset_of(self.masks[i] & self.masks[j])
+        meet = self.masks[self.index_of(x)] & self.masks[self.index_of(y)]
+        return self.ground.subset_of(self.masks[self._index(meet)])
 
     def join(self, x: Iterable, y: Iterable) -> frozenset:
         """Least upper bound: the least flat containing the union."""
         union = self.masks[self.index_of(x)] | self.masks[self.index_of(y)]
-        return self.ground.subset_of(self._closed_hull(union))
+        return self.ground.subset_of(self.masks[self._index(self._closed_hull(union))])
 
     def atoms(self) -> tuple[frozenset, ...]:
         """Flats of height one."""
@@ -122,6 +124,8 @@ class GeometricLattice:
 
         Atomicity: every flat is the join of the atoms below it.
         Semimodularity: h(x) + h(y) >= h(x v y) + h(x ^ y) for all pairs.
+        Raises ``NotAFlatError`` when a meet or join is not a member, i.e.
+        the masks are not closed under intersection.
         """
         atom_masks = [m for m, h in zip(self.masks, self.heights) if h == 1]
         atomic = True
@@ -141,8 +145,8 @@ class GeometricLattice:
         masks = self.masks
         for i in range(len(masks)):
             for j in range(i, len(masks)):
-                meet_h = self.heights[self._position[masks[i] & masks[j]]]
-                join_h = self.heights[self._position[self._closed_hull(masks[i] | masks[j])]]
+                meet_h = self.heights[self._index(masks[i] & masks[j])]
+                join_h = self.heights[self._index(self._closed_hull(masks[i] | masks[j]))]
                 if self.heights[i] + self.heights[j] < join_h + meet_h:
                     semimodular = False
                     semimodularity_failure = (

@@ -232,6 +232,44 @@ def test_lone_surrogate_element_is_parse_error(tmp_path, capsys, argv):
     assert "is not valid Unicode text" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["lattice"], None, ": No such file or directory"),
+        (["lattice"], '{"universe": [], "blocks": [[1]]}', "'universe' must be a nonempty list"),
+        (["reducts"], '{"universe": "1", "blocks": [[1]]}', "'universe' must be a nonempty list"),
+        (["lattice"], '{"universe": [1], "blocks": []}', "'blocks' must be a nonempty list"),
+        (["reducts"], '{"universe": [1], "blocks": {"b": [1]}}', "'blocks' must be a nonempty list"),
+        (["lattice"], '{"universe": [1], "blocks": [[1], 1]}', "block 1 must be a list"),
+        (["infosys"], "object,a,b\n", "need a header row and at least one object row"),
+        (["infosys"], "object\nx1\n", "header must name at least one attribute"),
+        (["infosys"], "object,a,\nx1,1,2\n", "empty attribute name in header"),
+        (["infosys", "--decision", "a"], "object,a\nx1,1\n", "no condition attributes besides"),
+    ],
+    ids=[
+        "missing-file",
+        "empty-universe",
+        "non-list-universe",
+        "empty-blocks",
+        "non-list-blocks",
+        "non-list-block",
+        "header-only-csv",
+        "header-without-attribute",
+        "empty-attribute-name",
+        "decision-is-only-column",
+    ],
+)
+def test_malformed_input_is_parse_error(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], out.err
+
+
 def test_load_table_document(weather_file):
     system = load_table_document(weather_file)
     assert system.objects == ("x1", "x2", "x3", "x4")

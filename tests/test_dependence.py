@@ -126,6 +126,14 @@ def test_spaces_equal_capacity_guard():
     assert spaces_equal_on(TransversalMatroid(family), max_elements=13)
 
 
+def test_spaces_differ_when_closure_is_identity(five_point_covering, monkeypatch):
+    # the identity splits {4} from its closure {4, 5}, which share a profile
+    matroid = five_point_covering.matroid
+    assert matroid.closure_mask(0b01000) == 0b11000
+    monkeypatch.setattr(matroid, "closure_mask", lambda mask: mask)
+    assert spaces_equal_on(matroid) is False
+
+
 @given(set_families(max_elements=6))
 @settings(max_examples=60, deadline=None)
 def test_spaces_equal_random(family):

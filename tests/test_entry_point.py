@@ -1,5 +1,11 @@
-"""`python -m latmat` runs each README command line exactly as `main` does."""
+"""README's examples run as written, and `python -m latmat` behaves as `main`.
 
+Each README command line gives the same stdout through `python -m latmat`
+as through `main`; the Quickstart code gives the results its comments state.
+"""
+
+import ast
+import json
 import os
 import re
 import subprocess
@@ -32,10 +38,52 @@ def test_readme_has_commands():
     assert {argv[0] for argv in COMMANDS} == {"lattice", "reducts", "infosys"}
 
 
+def quickstart_results() -> dict[str, object]:
+    """Value of each bare expression in README's Quickstart blocks, by its source."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"## Quickstart\n(.*?)\n## ", readme, re.S).group(1)
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace: dict[str, object] = {}
+    results = {}
+    for block in blocks:
+        for stmt in ast.parse(block).body:
+            source = ast.get_source_segment(block, stmt)
+            if isinstance(stmt, ast.Expr):
+                results[source] = eval(source, namespace)
+            else:
+                exec(source, namespace)
+    return results
+
+
+def test_readme_quickstart_results():
+    results = quickstart_results()
+    s = frozenset
+    assert results == {
+        "matroid.rank({1, 2, 4})": 3,
+        "matroid.closure({4})": s({4, 5}),
+        "lattice.atoms()": (s({1}), s({2}), s({3}), s({4, 5})),
+        "lattice.join({1}, {4, 5})": s({1, 4, 5}),
+        "reducts_via_hyperplanes(matroid)": (
+            s({1, 2, 3}), s({1, 2, 4}), s({1, 2, 5}), s({1, 3, 4}),
+            s({1, 3, 5}), s({2, 3, 4}), s({2, 3, 5}),
+        ),
+        "table.attribute_quotient()": (s({"outlook", "humidity"}), s({"temperature"})),
+        "table.check_saturation_condition()": True,
+        "table.reducts_via_quotient()": (
+            s({"outlook", "temperature"}), s({"temperature", "humidity"}),
+        ),
+    }
+
+
+def module_env() -> dict[str, str]:
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_readme_command_via_module(argv, monkeypatch, capsys):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "latmat", *argv],
         cwd=ROOT,
@@ -48,3 +96,23 @@ def test_readme_command_via_module(argv, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # 12 singleton blocks give 4,096 flats, far more DOT than a 64 KB pipe holds
+    path = tmp_path / "free12.json"
+    path.write_text(json.dumps({"universe": list(range(12)), "blocks": [[e] for e in range(12)]}))
+    # unbuffered, the one DOT write stops short at the closed pipe and never raises
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "latmat", "lattice", str(path), "--dot"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "digraph flats {\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in proc.stderr.read()

@@ -53,6 +53,20 @@ def test_rejects_ragged_rows():
         InformationSystem(("x1", "x2"), ("a", "b"), (("1", "2"), ("3",)))
 
 
+@pytest.mark.parametrize(
+    "objects, attributes, rows, message",
+    [
+        ((), ("a",), (), "at least one object"),
+        (("x1",), (), ((),), "at least one attribute"),
+        (("x1", "x2"), ("a",), (("1",),), "expected 2 rows, got 1"),
+    ],
+    ids=["no-object", "no-attribute", "row-count"],
+)
+def test_rejects_wrong_shape(objects, attributes, rows, message):
+    with pytest.raises(ValueError, match=message):
+        InformationSystem(objects, attributes, rows)
+
+
 def test_rejects_missing_values():
     with pytest.raises(ValueError, match="missing"):
         InformationSystem(("x1",), ("a", "b"), (("1", ""),))
@@ -262,6 +276,29 @@ def test_reducts_all_blocks_singleton():
 def test_reducts_via_quotient_requires_condition():
     with pytest.raises(ConditionNotSatisfiedError, match="discernibility_reducts"):
         CONDITION_COUNTEREXAMPLE.reducts_via_quotient()
+
+
+def test_quotient_rule_leaves_the_check_to_callers():
+    # one attribute per block is {a, b, c}, which is no reduct here
+    assert CONDITION_COUNTEREXAMPLE.quotient_reduct_masks() == [0b111]
+    assert CONDITION_COUNTEREXAMPLE.discernibility_reduct_masks() == [0b011, 0b101, 0b110]
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("check_saturation_condition", "condition check"),
+        ("quotient_reduct_masks", "condition check"),
+        ("reducts_via_quotient", "condition check"),
+        ("discernibility_reduct_masks", "discernibility reduct search"),
+        ("brute_force_reducts", "brute-force reduct scan"),
+    ],
+)
+def test_capacity_messages(method, message):
+    # the guard comes before the saturation check, which fails on this table
+    with pytest.raises(CapacityError) as caught:
+        getattr(CONDITION_COUNTEREXAMPLE, method)(max_attributes=2)
+    assert str(caught.value) == f"{message} capped at 2 attributes, got 3"
 
 
 def test_brute_force_golden(weather_system):

@@ -227,6 +227,32 @@ def test_verify_geometric_reports_non_semimodular_pair():
     assert report.semimodularity_failure == (frozenset({1}), frozenset({3}))
 
 
+def test_masks_not_closed_under_meet_raise_not_a_flat():
+    # {1,2} ^ {2,3} = {2} is not among the masks
+    lattice = GeometricLattice(
+        ground=GroundSet((1, 2, 3)),
+        masks=(0b000, 0b011, 0b110, 0b111),
+        heights=(0, 1, 1, 2),
+        covers=((1, 2), (3,), (3,), ()),
+    )
+    with pytest.raises(NotAFlatError, match=r"^\{2\} is not a flat"):
+        lattice.verify_geometric()
+    with pytest.raises(NotAFlatError, match=r"^\{2\} is not a flat"):
+        lattice.meet({1, 2}, {2, 3})
+
+
+def test_masks_not_closed_under_meet_give_no_join():
+    # {1} v {2} is the meet of {1,2,3} and {1,2,4}, and {1,2} is no mask
+    lattice = GeometricLattice(
+        ground=GroundSet((1, 2, 3, 4)),
+        masks=(0b0000, 0b0001, 0b0010, 0b0111, 0b1011, 0b1111),
+        heights=(0, 1, 1, 2, 2, 3),
+        covers=((1, 2), (3, 4), (3, 4), (5,), (5,), ()),
+    )
+    with pytest.raises(NotAFlatError, match=r"^\{1,2\} is not a flat"):
+        lattice.join({1}, {2})
+
+
 @given(set_families(max_elements=6))
 @settings(max_examples=50, deadline=None)
 def test_verify_geometric_random(family):

@@ -41,6 +41,11 @@ def test_members_and_label_ground_order():
     assert ground.label(0) == "{}"
 
 
+def test_family_rejects_no_blocks():
+    with pytest.raises(ValueError, match="at least one block"):
+        SetFamily(GroundSet((1, 2)), ())
+
+
 def test_family_rejects_empty_block():
     with pytest.raises(ValueError, match="empty"):
         SetFamily(GroundSet((1, 2)), (frozenset({1}), frozenset()))
