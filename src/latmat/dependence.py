@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable
 
 from .errors import CapacityError, EmptyTargetError
-from .matroid import GroundSet, TransversalMatroid, size_then_members
+from .matroid import GroundSet, TransversalMatroid, members_order
 
 __all__ = [
     "DependenceSpace",
@@ -55,12 +55,7 @@ def profile_space(ground: GroundSet, profile_sets: Iterable[Iterable]) -> Depend
     The key of a subset B is the tuple of indices of the profile sets that
     contain B; with no profile sets every pair of subsets is related.
     """
-    masks = tuple(
-        sorted(
-            {ground.mask_of(s) for s in profile_sets},
-            key=size_then_members(len(ground)),
-        )
-    )
+    masks = sorted({ground.mask_of(s) for s in profile_sets})
 
     def key(mask: int) -> tuple[int, ...]:
         return tuple(i for i, t in enumerate(masks) if mask & ~t == 0)
@@ -153,7 +148,8 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
                 stack.append((chosen | bit, banned, bit, pending))
             banned |= bit
 
-    found.sort(key=size_then_members(target_masks[-1].bit_length()))
+    found.sort(key=members_order(target_masks[-1].bit_length()))
+    found.sort(key=int.bit_count)
     return found
 
 

@@ -26,7 +26,7 @@ from .errors import (
     UnknownAttributeError,
     UnknownElementError,
 )
-from .matroid import GroundSet, iter_bits, size_then_members
+from .matroid import GroundSet, iter_bits, members_order
 
 __all__ = ["InformationSystem"]
 
@@ -191,11 +191,9 @@ class InformationSystem:
         check first; the number of reducts is the product of the block sizes.
         Output sorted by (size, attribute indices).
         """
-        self._cap_attributes("condition check", max_attributes)
+        self._cap_attributes("quotient rule", max_attributes)
         bits = [[1 << j for j in iter_bits(block)] for block in self.quotient_masks]
-        picks = [sum(combo) for combo in product(*bits)]
-        picks.sort(key=size_then_members(len(self.attributes)))
-        return picks
+        return sorted(map(sum, product(*bits)), key=members_order(len(self.attributes)))
 
     def reducts_via_quotient(self, *, max_attributes: int = 15) -> tuple[frozenset, ...]:
         """Frozenset form of :meth:`quotient_reduct_masks`, same order.
@@ -257,7 +255,7 @@ class InformationSystem:
         m = self._cap_attributes("brute-force reduct scan", max_attributes)
         full_key = self._partition_key_of_mask((1 << m) - 1)
         kept: list[int] = []
-        for mask in sorted(range(1 << m), key=size_then_members(m)):
+        for mask in sorted(sorted(range(1 << m), key=members_order(m)), key=int.bit_count):
             if any(k & ~mask == 0 for k in kept):
                 continue
             if self._partition_key_of_mask(mask) == full_key:

@@ -174,7 +174,7 @@ class GeometricLattice:
         """
         label = self.ground.label
         ids = [f"n{i}" for i in range(len(self.masks))]
-        rows: dict[int, list[str]] = {}
+        rows: dict[int, list[str]] = {}  # heights ascend in canonical order
         for node, height in zip(ids, self.heights):
             rows.setdefault(height, []).append(node)
         lines = [
@@ -185,7 +185,7 @@ class GeometricLattice:
                 f'  {node} [label="{_dot_escape(label(mask))}"];'
                 for node, mask in zip(ids, self.masks)
             ],
-            *["  { rank=same; " + "; ".join(row) + "; }" for _, row in sorted(rows.items())],
+            *["  { rank=same; " + "; ".join(row) + "; }" for row in rows.values()],
             *[f"  {ids[i]} -> {ids[j]};" for i, ups in enumerate(self.covers) for j in ups],
             "}",
         ]

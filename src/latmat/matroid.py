@@ -26,7 +26,6 @@ __all__ = [
     "iter_bits",
     "members_order",
     "pick",
-    "size_then_members",
 ]
 
 
@@ -53,21 +52,10 @@ def members_order(width: int) -> Callable[[int], int]:
 
     In an antichain no member tuple is a prefix of another, so ascending
     member tuples are descending bit-reversed masks: one int, not a tuple.
+    Masks of one size form an antichain, so a second, stable sort of mixed
+    sizes by ``int.bit_count`` gives (size, members) order.
     """
     return lambda mask: -int(f"{mask:0{width}b}"[::-1], 2)
-
-
-def size_then_members(width: int) -> Callable[[int], tuple[int, int]]:
-    """Sort key ordering masks below ``2**width`` by (size, member indices).
-
-    Masks of one size form an antichain, keyed as by :func:`members_order`,
-    written out again so that each mask costs one call.
-    """
-
-    def key(mask: int) -> tuple[int, int]:
-        return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
-
-    return key
 
 
 @dataclass(frozen=True)
@@ -226,6 +214,9 @@ class TransversalMatroid:
 
     def _matching(self, mask: int) -> list[int]:
         """Maximum matching ``owner`` of ``mask``: per block, its element index or -1."""
+        stray = mask & ~self.ground.full_mask
+        if stray:
+            raise UnknownElementError(f"bit {(stray & -stray).bit_length() - 1}")
         owner = [-1] * self.family.size
         for i in iter_bits(mask):
             closure, queue = self._closed(0, owner)

@@ -76,3 +76,36 @@ def information_systems(
             row.insert(position, row[source])
     attributes = tuple(f"a{j}" for j in range(1, len(rows[0]) + 1))
     return InformationSystem(objects, attributes, tuple(map(tuple, rows)))
+
+
+@st.composite
+def saturated_systems(draw) -> InformationSystem:
+    """Random tables on which the saturation condition holds by construction.
+
+    Base columns take at least two values each.  For each base column a
+    witness row copies a drawn row and changes that column alone, so any
+    two distinct sets of base columns separate different pairs of rows.
+    Relabelled copies of base columns, inserted at random positions, fill
+    the quotient blocks without adding partitions.
+    """
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    rows = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, k - 1) for k in sizes)).map(list),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for j, k in enumerate(sizes):
+        twin = list(rows[draw(st.integers(0, len(rows) - 1))])
+        twin[j] = (twin[j] + draw(st.integers(1, k - 1))) % k
+        rows.append(twin)
+    base = [[row[j] for row in rows] for j in range(len(sizes))]
+    columns = [[f"v{v}" for v in column] for column in base]
+    for _ in range(draw(st.integers(0, 3))):
+        source = draw(st.sampled_from(base))
+        labels = draw(st.permutations(range(3)))
+        columns.insert(draw(st.integers(0, len(columns))), [f"v{labels[v]}" for v in source])
+    objects = tuple(f"x{i}" for i in range(1, len(rows) + 1))
+    attributes = tuple(f"a{j}" for j in range(1, len(columns) + 1))
+    return InformationSystem(objects, attributes, tuple(zip(*columns)))

@@ -579,6 +579,59 @@ def test_family_commands_match_oracles(family):
     assert set(reducts) == oracles.minimal_spanning_masks(family)
 
 
+def _check_capped(forms, option, cap, size):
+    """Each form with ``option cap`` exits 4 with one error line iff ``size > cap``.
+
+    Otherwise it exits 0 and prints what the uncapped form prints.
+    """
+    for argv in forms:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, option, str(cap)])
+        assert code == (4 if size > cap else 0), argv
+        if code == 4:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert "capped at" in lines[0]
+        else:
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert out.getvalue() == _run(argv)[1], argv
+
+
+@given(set_families(max_elements=7), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_family_capacity_guard(family, max_elems):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            blocks = [sorted(block) for block in family.blocks]
+            json.dump({"universe": list(family.ground), "blocks": blocks}, handle)
+        forms = [
+            [command, path, *json_flag]
+            for command in ("lattice", "reducts")
+            for json_flag in ([], ["--json"])
+        ]
+        _check_capped(forms, "--max-elems", max_elems, len(family.ground))
+
+
+@given(information_systems(max_attributes=5), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_table_capacity_guard(table, max_attrs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(("object",) + table.attributes) + "\n")
+            for x, values in zip(table.objects, table.rows):
+                handle.write(",".join((x,) + values) + "\n")
+        forms = [
+            ["infosys", path, *json_flag, *brute_flag]
+            for json_flag in ([], ["--json"])
+            for brute_flag in ([], ["--force-brute"])
+        ]
+        _check_capped(forms, "--max-attrs", max_attrs, len(table.attributes))
+
+
 # ---------------------------------------------------------------------------
 # JSON writer
 

@@ -1,7 +1,7 @@
 """Information tables: partitions, attribute quotient, condition, reducts."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 import oracles
 from latmat import (
@@ -10,7 +10,7 @@ from latmat import (
     InformationSystem,
     UnknownAttributeError,
 )
-from strategies import information_systems
+from strategies import information_systems, saturated_systems
 
 # found by exhausting all 3x3 binary tables; any two attribute pairs induce
 # the discrete partition while the three single columns stay distinct
@@ -288,7 +288,7 @@ def test_quotient_rule_leaves_the_check_to_callers():
     "method, message",
     [
         ("check_saturation_condition", "condition check"),
-        ("quotient_reduct_masks", "condition check"),
+        ("quotient_reduct_masks", "quotient rule"),
         ("reducts_via_quotient", "condition check"),
         ("discernibility_reduct_masks", "discernibility reduct search"),
         ("brute_force_reducts", "brute-force reduct scan"),
@@ -361,8 +361,9 @@ def test_brute_force_reducts_are_minimal_consistent(system):
                 assert not a <= b
 
 
-@given(information_systems())
+@given(saturated_systems())
 @settings(max_examples=150, deadline=None)
 def test_quotient_rule_matches_brute_force_under_condition(system):
-    assume(system.check_saturation_condition())
-    assert set(system.reducts_via_quotient()) == set(system.brute_force_reducts())
+    assert system.check_saturation_condition()
+    assert oracles.saturation_condition_by_scan(system)
+    assert system.reducts_via_quotient() == system.brute_force_reducts()

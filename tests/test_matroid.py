@@ -122,6 +122,18 @@ def test_rank_unknown_element(three_block_family):
         TransversalMatroid(three_block_family).rank({0})
 
 
+def test_masks_outside_the_ground_are_refused():
+    lone = TransversalMatroid(SetFamily(GroundSet(("a",)), (frozenset("a"),)))
+    with pytest.raises(UnknownElementError, match="bit 1"):
+        lone.rank_mask(0b11)
+    pair = TransversalMatroid(
+        SetFamily(GroundSet(("a", "b")), (frozenset("a"), frozenset("ab")))
+    )
+    for query in (pair.rank_mask, pair.closure_mask):
+        with pytest.raises(UnknownElementError, match="bit 2"):
+            query(0b100)
+
+
 # ---------------------------------------------------------------------------
 # closure
 
