@@ -26,8 +26,6 @@ from .dependence import (
 from .errors import (
     CapacityError,
     ConditionNotSatisfiedError,
-    DegenerateLatticeError,
-    DegenerateMatroidError,
     DocumentError,
     EmptyTargetError,
     LatmatError,
@@ -47,8 +45,6 @@ __all__ = [
     "ConditionNotSatisfiedError",
     "Covering",
     "CoveringEquivalenceReport",
-    "DegenerateLatticeError",
-    "DegenerateMatroidError",
     "DependenceSpace",
     "DocumentError",
     "EmptyTargetError",

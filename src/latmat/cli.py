@@ -7,9 +7,7 @@ byte-deterministic for identical inputs.  Every output is rendered from
 masks through the token tables of ``GroundSet``; ``--json`` documents go
 through one writer, :func:`to_json`.
 
-Exit codes: 0 success, 2 parse error, 4 capacity guard.  Code 3 (degenerate
-input) is reserved: every family the loader accepts has rank at least 1, so
-no document reaches it.
+Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
 
 from __future__ import annotations
@@ -26,25 +24,14 @@ from json.encoder import encode_basestring_ascii
 
 from .covering import check_covering_equivalences, is_covering
 from .dependence import minimal_hitting_masks
-from .errors import (
-    CapacityError,
-    DegenerateLatticeError,
-    DegenerateMatroidError,
-    DocumentError,
-    LatmatError,
-)
+from .errors import CapacityError, DocumentError, LatmatError
 from .infosys import InformationSystem
 from .lattice import build_lattice
 from .matroid import GroundSet, SetFamily, TransversalMatroid, pick
 
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_ATTRIBUTES = 15
-EXIT_CODES = {
-    DocumentError: 2,
-    DegenerateMatroidError: 3,
-    DegenerateLatticeError: 3,
-    CapacityError: 4,
-}
+EXIT_CODES = {DocumentError: 2, CapacityError: 4}
 
 # ---------------------------------------------------------------------------
 # document parsing
@@ -108,12 +95,14 @@ def load_covering_document(path: str) -> SetFamily:
         raise DocumentError(f"{path}: {exc}") from None
 
 
-def load_table_document(path: str) -> InformationSystem:
+def load_table_document(path: str, decision: str | None = None) -> InformationSystem:
     """Parse a CSV table into an InformationSystem.
 
     Header row: first cell is the object-column label (ignored), the rest are
     attribute names.  Each following row: object name, then one value per
-    attribute.  Cells are stripped; empty cells are rejected.
+    attribute.  Cells are stripped; empty cells are rejected.  The column
+    named ``decision`` is set aside as the rows are read: relative reducts
+    are out of scope, so reduction runs over the condition attributes left.
     """
     reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
     try:
@@ -125,9 +114,15 @@ def load_table_document(path: str) -> InformationSystem:
     header = [cell.strip() for cell in raw[0]]
     if len(header) < 2:
         raise DocumentError(f"{path}: header must name at least one attribute")
-    attributes = tuple(header[1:])
+    attributes = header[1:]
     if any(a == "" for a in attributes):
         raise DocumentError(f"{path}: empty attribute name in header")
+    # a decision column named once beside other attributes is left out; any
+    # other decision is refused after the whole table has been checked
+    aside = None
+    if len(attributes) > 1 and attributes.count(decision) == 1:
+        aside = header.index(decision, 1)
+        del attributes[aside - 1]
     objects = []
     rows = []
     for lineno, row in enumerate(raw[1:], start=2):
@@ -138,12 +133,19 @@ def load_table_document(path: str) -> InformationSystem:
         cells = [cell.strip() for cell in row]
         if any(cell == "" for cell in cells):
             raise DocumentError(f"{path}: row {lineno} has an empty cell")
+        if aside is not None:
+            del cells[aside]
         objects.append(cells[0])
         rows.append(tuple(cells[1:]))
     try:
-        return InformationSystem(tuple(objects), attributes, tuple(rows))
+        system = InformationSystem(tuple(objects), tuple(attributes), tuple(rows))
     except ValueError as exc:
         raise DocumentError(f"{path}: {exc}") from None
+    if decision is not None and aside is None:
+        if decision not in attributes:
+            raise DocumentError(f"decision column {decision!r} is not in the table")
+        raise DocumentError("table has no condition attributes besides the decision column")
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +302,10 @@ def cmd_reducts(args) -> int:
     return 0
 
 
-def _drop_decision_column(system: InformationSystem, decision: str) -> InformationSystem:
-    # relative reducts are out of scope; the decision column is set aside and
-    # reduction runs over the remaining condition attributes
-    if decision not in system.attributes:
-        raise DocumentError(f"decision column {decision!r} is not in the table")
-    keep = [j for j, a in enumerate(system.attributes) if a != decision]
-    if not keep:
-        raise DocumentError("table has no condition attributes besides the decision column")
-    return InformationSystem(
-        system.objects,
-        tuple(system.attributes[j] for j in keep),
-        tuple(tuple(row[j] for j in keep) for row in system.rows),
-    )
-
-
 def cmd_infosys(args) -> int:
-    system = load_table_document(args.path)
-    if args.decision is not None:
-        system = _drop_decision_column(system, args.decision)
+    system = load_table_document(args.path, args.decision)
     attributes, objects = system.attribute_ground, system.object_ground
-    condition = system.check_saturation_condition(max_attributes=args.max_attrs)
+    condition = system.check_saturation_condition()
     if condition and not args.force_brute:
         method, route = "quotient-rule", system.quotient_reduct_masks
     else:  # the label predates the discernibility route

@@ -49,18 +49,22 @@ class DependenceSpace:
         return self.key(first) == self.key(second)
 
 
+def _profile_key(profile_masks: Iterable[int]) -> Callable[[int], tuple[int, ...]]:
+    masks = sorted(set(profile_masks))
+
+    def key(mask: int) -> tuple[int, ...]:
+        return tuple(i for i, t in enumerate(masks) if mask & ~t == 0)
+
+    return key
+
+
 def profile_space(ground: GroundSet, profile_sets: Iterable[Iterable]) -> DependenceSpace:
     """Space relating subsets with the same containment profile.
 
     The key of a subset B is the tuple of indices of the profile sets that
     contain B; with no profile sets every pair of subsets is related.
     """
-    masks = sorted({ground.mask_of(s) for s in profile_sets})
-
-    def key(mask: int) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(masks) if mask & ~t == 0)
-
-    return DependenceSpace(ground, key)
+    return DependenceSpace(ground, _profile_key(ground.mask_of(s) for s in profile_sets))
 
 
 def closure_space(matroid: TransversalMatroid) -> DependenceSpace:
@@ -80,10 +84,8 @@ def spaces_equal_on(matroid: TransversalMatroid, *, max_elements: int = 12) -> b
         raise CapacityError(
             f"power-set comparison capped at {max_elements} elements, got {n}"
         )
-    hyperplanes = [matroid.ground.subset_of(h) for h in matroid.hyperplane_masks()]
-    profiles = profile_space(matroid.ground, hyperplanes)
-    closures = closure_space(matroid)
-    pairs = {(profiles.key_of_mask(m), closures.key_of_mask(m)) for m in range(1 << n)}
+    profile, closure = _profile_key(matroid.hyperplane_masks()), matroid.closure_mask
+    pairs = {(profile(m), closure(m)) for m in range(1 << n)}
     return len(pairs) == len({p for p, _ in pairs}) == len({c for _, c in pairs})
 
 

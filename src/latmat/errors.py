@@ -29,14 +29,6 @@ class NotACoveringError(LatmatError, ValueError):
     """The family's blocks do not cover the ground set."""
 
 
-class DegenerateMatroidError(LatmatError, ValueError):
-    """The matroid has rank zero, so the requested structure does not exist."""
-
-
-class DegenerateLatticeError(LatmatError, ValueError):
-    """The lattice collapsed to a single node; coatoms are undefined."""
-
-
 class EmptyTargetError(LatmatError, ValueError):
     """A hitting-set target was empty; the empty set cannot be hit."""
 

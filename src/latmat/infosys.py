@@ -164,7 +164,7 @@ class InformationSystem:
 
     # the quotient-rule precondition ---------------------------------------
 
-    def check_saturation_condition(self, *, max_attributes: int = 15) -> bool:
+    def check_saturation_condition(self) -> bool:
         """True when equal partitions always force equal saturations.
 
         Every attribute set induces the partition of its saturation, so the
@@ -172,9 +172,8 @@ class InformationSystem:
         distinct partitions.  That fails iff dropping some block's
         representative from a set R of one representative per block leaves
         the partition of R unchanged, so k + 1 partition keys decide it for
-        k blocks.  Guarded by ``max_attributes``.
+        k blocks.
         """
-        self._cap_attributes("condition check", max_attributes)
         representatives = sum(block & -block for block in self.quotient_masks)
         full_key = self._partition_key_of_mask(representatives)
         return all(
@@ -198,14 +197,15 @@ class InformationSystem:
     def reducts_via_quotient(self, *, max_attributes: int = 15) -> tuple[frozenset, ...]:
         """Frozenset form of :meth:`quotient_reduct_masks`, same order.
 
-        Raises ``ConditionNotSatisfiedError`` unless the saturation check holds.
+        Raises ``ConditionNotSatisfiedError`` unless the saturation check
+        holds; the rule's guard comes first.
         """
-        if not self.check_saturation_condition(max_attributes=max_attributes):
+        masks = self.quotient_reduct_masks(max_attributes=max_attributes)
+        if not self.check_saturation_condition():
             raise ConditionNotSatisfiedError(
                 "equal partitions do not force equal saturations; "
                 "use discernibility_reducts instead"
             )
-        masks = self.quotient_reduct_masks(max_attributes=max_attributes)
         return tuple(map(self.attribute_ground.subset_of, masks))
 
     def discernibility_reduct_masks(self, *, max_attributes: int = 20) -> list[int]:

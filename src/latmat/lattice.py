@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DegenerateLatticeError, NotAFlatError
+from .errors import NotAFlatError
 from .matroid import GroundSet, TransversalMatroid
 
 __all__ = ["GeometricLattice", "GeometricityReport", "build_lattice"]
@@ -109,8 +109,6 @@ class GeometricLattice:
 
     def coatoms(self) -> tuple[frozenset, ...]:
         """Flats covered by the top; equals the matroid's hyperplanes."""
-        if self.top == self.bottom:
-            raise DegenerateLatticeError("a single-flat lattice has no coatoms")
         return tuple(
             self.ground.subset_of(self.masks[i])
             for i, ups in enumerate(self.covers)

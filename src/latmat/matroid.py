@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .errors import DegenerateMatroidError, UnknownElementError
+from .errors import UnknownElementError
 
 __all__ = [
     "GroundSet",
@@ -114,16 +114,28 @@ class GroundSet:
             mask |= 1 << self.index_of(element)
         return mask
 
+    def refuse_outside(self, mask: int) -> None:
+        """Raise ``UnknownElementError`` naming the lowest bit of ``mask`` outside the ground."""
+        stray = mask & ~self.full_mask
+        if stray:
+            raise UnknownElementError(f"bit {(stray & -stray).bit_length() - 1}") from None
+
     def subset_of(self, mask: int) -> frozenset:
         return frozenset(self.members(mask))
 
     def members(self, mask: int) -> tuple:
         """Members of ``mask`` in ground order."""
-        return tuple(pick(self.elements, mask))
+        try:
+            return tuple(pick(self.elements, mask))
+        except IndexError:  # checked only on failure, so rendering pays nothing
+            self.refuse_outside(mask)
 
     def label(self, mask: int) -> str:
         """``mask`` printed as ``{a,b}``, members in ground order."""
-        return "{" + ",".join(pick(self.texts, mask)) + "}"
+        try:
+            return "{" + ",".join(pick(self.texts, mask)) + "}"
+        except IndexError:
+            self.refuse_outside(mask)
 
 
 @dataclass(frozen=True)
@@ -214,9 +226,7 @@ class TransversalMatroid:
 
     def _matching(self, mask: int) -> list[int]:
         """Maximum matching ``owner`` of ``mask``: per block, its element index or -1."""
-        stray = mask & ~self.ground.full_mask
-        if stray:
-            raise UnknownElementError(f"bit {(stray & -stray).bit_length() - 1}")
+        self.ground.refuse_outside(mask)
         owner = [-1] * self.family.size
         for i in iter_bits(mask):
             closure, queue = self._closed(0, owner)
@@ -302,12 +312,11 @@ class TransversalMatroid:
         return self._flat_record[2]
 
     def hyperplane_masks(self) -> tuple[int, ...]:
-        if self.ground_rank == 0:
-            raise DegenerateMatroidError("a rank-zero matroid has no hyperplanes")
         want = self.ground_rank - 1
         return tuple(m for m, r in zip(self.flat_masks(), self.flat_ranks()) if r == want)
 
     def closure_via_hyperplanes_mask(self, mask: int) -> int:
+        self.ground.refuse_outside(mask)
         closed = self.ground.full_mask
         for h in self.hyperplane_masks():
             if mask & ~h == 0:

@@ -245,6 +245,10 @@ def test_lone_surrogate_element_is_parse_error(tmp_path, capsys, argv):
         (["infosys"], "object\nx1\n", "header must name at least one attribute"),
         (["infosys"], "object,a,\nx1,1,2\n", "empty attribute name in header"),
         (["infosys", "--decision", "a"], "object,a\nx1,1\n", "no condition attributes besides"),
+        (["infosys", "--decision", "a"], "object,a,b,a\nx1,1,2,3\n", "duplicate attribute identifiers"),
+        (["infosys", "--decision", "a"], "object,a\nx1,1\nx1,2\n", "duplicate object identifiers"),
+        (["infosys", "--decision", "object"], "object,a\nx1,1\n", "'object' is not in the table"),
+        (["infosys", "--decision", "c"], "object,a,b\nx1,1,\n", "row 2 has an empty cell"),
     ],
     ids=[
         "missing-file",
@@ -257,6 +261,10 @@ def test_lone_surrogate_element_is_parse_error(tmp_path, capsys, argv):
         "header-without-attribute",
         "empty-attribute-name",
         "decision-is-only-column",
+        "decision-named-twice",
+        "decision-beside-duplicate-objects",
+        "decision-is-object-label",
+        "decision-beside-empty-cell",
     ],
 )
 def test_malformed_input_is_parse_error(tmp_path, capsys, argv, text, message):
@@ -274,6 +282,17 @@ def test_load_table_document(weather_file):
     system = load_table_document(weather_file)
     assert system.objects == ("x1", "x2", "x3", "x4")
     assert system.attributes == ("outlook", "temperature", "humidity")
+
+
+def test_load_table_document_sets_decision_aside(weather_file):
+    system = load_table_document(weather_file, "temperature")
+    assert system.attributes == ("outlook", "humidity")
+    assert system.rows == (
+        ("sunny", "high"),
+        ("rain", "normal"),
+        ("rain", "normal"),
+        ("rain", "normal"),
+    )
 
 
 def test_load_table_rejects_ragged(tmp_path):
@@ -482,6 +501,24 @@ def test_infosys_ragged_exit_code(tmp_path, capsys):
 def test_infosys_capacity_exit_code(weather_file, capsys):
     assert main(["infosys", weather_file, "--max-attrs", "2"]) == 4
     assert "capped at 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "csv_text, flags, route",
+    [
+        (WEATHER_CSV, [], "quotient rule"),
+        (WEATHER_CSV, ["--force-brute"], "discernibility reduct search"),
+        (COUNTEREXAMPLE_CSV, [], "discernibility reduct search"),
+    ],
+    ids=["quotient", "forced", "fallback"],
+)
+def test_infosys_capacity_error_names_the_route(tmp_path, capsys, csv_text, flags, route):
+    path = tmp_path / "table.csv"
+    path.write_text(csv_text)
+    assert main(["infosys", str(path), *flags, "--max-attrs", "2"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {route} capped at 2 attributes, got 3\n"
 
 
 def test_infosys_decision_column_excluded(weather_file, capsys):

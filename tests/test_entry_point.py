@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from latmat import cli
 from latmat.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +75,19 @@ def test_readme_quickstart_results():
             s({"outlook", "temperature"}), s({"temperature", "humidity"}),
         ),
     }
+
+
+def exit_code_numbers(text: str) -> list[int]:
+    """The numbers in the sentence of ``text`` that starts with "Exit codes:"."""
+    sentence = re.search(r"Exit codes:(.*?)\.", text, re.S).group(1)
+    return [int(n) for n in re.findall(r"\b\d+\b", sentence)]
+
+
+def test_documented_exit_codes_match_the_table():
+    codes = [0, *sorted(set(cli.EXIT_CODES.values()))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert exit_code_numbers(readme) == codes
+    assert exit_code_numbers(cli.__doc__) == codes
 
 
 def module_env() -> dict[str, str]:

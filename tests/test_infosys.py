@@ -221,9 +221,15 @@ def test_condition_counterexample_found_by_scan():
     )
 
 
-def test_condition_capacity_guard(weather_system):
-    with pytest.raises(CapacityError, match="2"):
-        weather_system.check_saturation_condition(max_attributes=2)
+def test_condition_check_needs_no_attribute_cap():
+    # k + 1 partition keys decide it, so a wide table is cheap to check
+    m = 64
+    rows = tuple(tuple(str(i >> j & 1) for j in range(m)) for i in range(4))
+    system = InformationSystem(("x1", "x2", "x3", "x4"), tuple(f"a{j}" for j in range(m)), rows)
+    assert len(system.quotient_masks) == 3  # two bit columns and the constant ones
+    assert not system.check_saturation_condition()
+    with pytest.raises(TypeError):
+        system.check_saturation_condition(max_attributes=2)
 
 
 def test_condition_fails_on_constant_column():
@@ -287,9 +293,8 @@ def test_quotient_rule_leaves_the_check_to_callers():
 @pytest.mark.parametrize(
     "method, message",
     [
-        ("check_saturation_condition", "condition check"),
         ("quotient_reduct_masks", "quotient rule"),
-        ("reducts_via_quotient", "condition check"),
+        ("reducts_via_quotient", "quotient rule"),
         ("discernibility_reduct_masks", "discernibility reduct search"),
         ("brute_force_reducts", "brute-force reduct scan"),
     ],

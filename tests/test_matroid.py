@@ -5,13 +5,11 @@ from hypothesis import given, settings
 
 import oracles
 from latmat import (
-    DegenerateMatroidError,
     GroundSet,
     SetFamily,
     TransversalMatroid,
     UnknownElementError,
-    reducts_via_hyperplanes,
-    spaces_equal_on,
+    build_lattice,
 )
 from latmat.matroid import iter_bits
 from strategies import family_and_subsets, set_families
@@ -129,9 +127,22 @@ def test_masks_outside_the_ground_are_refused():
     pair = TransversalMatroid(
         SetFamily(GroundSet(("a", "b")), (frozenset("a"), frozenset("ab")))
     )
-    for query in (pair.rank_mask, pair.closure_mask):
-        with pytest.raises(UnknownElementError, match="bit 2"):
+    queries = (
+        pair.rank_mask,
+        pair.closure_mask,
+        pair.closure_via_hyperplanes_mask,
+        pair.ground.members,
+        pair.ground.subset_of,
+        pair.ground.label,
+        build_lattice(pair)._index,
+    )
+    for query in queries:
+        with pytest.raises(UnknownElementError, match="^element 'bit 2' is not in the ground set$"):
             query(0b100)
+    # the lowest stray bit is named, and in-ground masks still render
+    with pytest.raises(UnknownElementError, match="bit 3"):
+        pair.ground.label(0b1011)
+    assert pair.ground.label(0b11) == "{a,b}"
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +221,6 @@ def test_rank_of_long_chain():
         tuple(frozenset({i, i + 1}) for i in range(n - 1)),
     )
     assert TransversalMatroid(family).ground_rank == n - 1
-
-
-def test_degenerate_guard_is_unreachable_but_raises():
-    family = SetFamily(GroundSet((1,)), (frozenset({1}),))
-    matroid = TransversalMatroid(family)
-    matroid.ground_rank = 0  # force the defensive branch
-    # the reduct routes reach it through hyperplane_masks
-    for route in (TransversalMatroid.hyperplane_masks, reducts_via_hyperplanes, spaces_equal_on):
-        with pytest.raises(DegenerateMatroidError):
-            route(matroid)
 
 
 # ---------------------------------------------------------------------------
