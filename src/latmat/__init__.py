@@ -5,6 +5,9 @@ bipartite matching); its closed sets form a geometric lattice; the lattice's
 coatoms drive attribute reduction through minimal hitting sets of their
 complements; and information tables reduce either by the same machinery or
 directly through the attribute quotient when the saturation condition holds.
+``latmat reducts`` prints the matroid's bases, built from the blocks one
+maximum matching uses; ``reducts_via_hyperplanes`` stays the paper's
+hyperplane route and the oracle those bases are checked against.
 """
 
 from .covering import (

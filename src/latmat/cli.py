@@ -23,7 +23,6 @@ from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from .covering import check_covering_equivalences, is_covering
-from .dependence import minimal_hitting_masks
 from .errors import CapacityError, DocumentError, LatmatError
 from .infosys import InformationSystem
 from .lattice import build_lattice
@@ -279,7 +278,7 @@ def cmd_reducts(args) -> int:
     ground = matroid.ground
     hyperplanes = matroid.hyperplane_masks()
     complements = [ground.full_mask & ~h for h in hyperplanes]
-    reducts = minimal_hitting_masks(complements)
+    reducts = matroid.basis_masks()
 
     if args.json:
         doc = {

@@ -315,6 +315,23 @@ class TransversalMatroid:
         want = self.ground_rank - 1
         return tuple(m for m, r in zip(self.flat_masks(), self.flat_ranks()) if r == want)
 
+    def basis_masks(self) -> list[int]:
+        """All bases, sorted by member indices.
+
+        The r blocks one maximum matching of the ground uses present the
+        matroid (Oxley, *Matroid Theory*, 1.6), so the bases are their sets
+        of distinct representatives, grown one block at a time, smallest
+        first; each level is a set, so no partial transversal repeats.
+        """
+        blocks = self.family.block_masks
+        owner = self._matching(self.ground.full_mask)
+        matched = sorted((blocks[b] for b, i in enumerate(owner) if i >= 0), key=int.bit_count)
+        level = {0}
+        for block in matched:
+            bits = [1 << i for i in iter_bits(block)]
+            level = {s | bit for s in level for bit in bits if not s & bit}
+        return sorted(level, key=members_order(len(self.ground)))
+
     def closure_via_hyperplanes_mask(self, mask: int) -> int:
         self.ground.refuse_outside(mask)
         closed = self.ground.full_mask

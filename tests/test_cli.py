@@ -455,6 +455,17 @@ def test_reducts_matches_library(family_file, capsys):
     assert tuple(frozenset(r) for r in doc["reducts"]) == expected
 
 
+def test_reducts_uniform_8_16(capsys):
+    # U(8,16): eight copies of one 16-element block, 12,870 bases
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "uniform-8-16.json")
+    assert main(["reducts", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("reducts (12870):") + 1
+    assert len(lines) - start == 12870
+    assert lines[start] == "  {1,2,3,4,5,6,7,8}"
+    assert lines[-1] == "  {9,10,11,12,13,14,15,16}"
+
+
 # ---------------------------------------------------------------------------
 # infosys command
 

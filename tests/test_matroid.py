@@ -11,6 +11,7 @@ from latmat import (
     UnknownElementError,
     build_lattice,
 )
+from latmat.dependence import minimal_hitting_masks
 from latmat.matroid import iter_bits
 from strategies import family_and_subsets, set_families
 
@@ -345,6 +346,17 @@ def test_matching_is_a_maximum_matching(family):
         for i, b in matched:
             assert mask >> i & 1 and family.block_masks[b] >> i & 1
         assert len({i for i, _ in matched}) == len(matched) == ranks[mask]
+
+
+@given(set_families(max_elements=6, max_blocks=8))
+@settings(max_examples=100, deadline=None)
+def test_bases_match_hitting_sets_and_oracle(family):
+    # up to 8 blocks on up to 6 elements, so some draws repeat blocks or exceed the rank
+    matroid = TransversalMatroid(family)
+    full = family.ground.full_mask
+    bases = matroid.basis_masks()
+    assert bases == minimal_hitting_masks(full & ~h for h in matroid.hyperplane_masks())
+    assert set(bases) == oracles.minimal_spanning_masks(family)
 
 
 # ---------------------------------------------------------------------------
