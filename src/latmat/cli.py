@@ -261,10 +261,11 @@ def cmd_lattice(args) -> int:
     rows: dict[int, list[int]] = {}  # heights ascend in canonical order
     for mask, height in zip(lattice.masks, lattice.heights):
         rows.setdefault(height, []).append(mask)
-    for height, row in rows.items():
-        print(f"  height {height}: " + fmt_many(ground, row))
-    print("atoms:", fmt_many(ground, rows[1]))
-    print("coatoms:", fmt_many(ground, rows[matroid.ground_rank - 1]))
+    texts = {height: fmt_many(ground, row) for height, row in rows.items()}
+    for height, text in texts.items():
+        print(f"  height {height}: " + text)
+    print("atoms:", texts[1])
+    print("coatoms:", texts[matroid.ground_rank - 1])
     if checks:
         print(
             "covering checks:",

@@ -47,15 +47,24 @@ def pick(table: Sequence, mask: int) -> list:
     return out
 
 
+_REVERSED = [0]  # _REVERSED[b] is byte b with its bits in reverse order
+for _bit in (128, 64, 32, 16, 8, 4, 2, 1):
+    _REVERSED += [b | _bit for b in _REVERSED]
+_REVERSED = bytes(_REVERSED)
+del _bit
+
+
 def members_order(width: int) -> Callable[[int], int]:
     """Sort key ordering an antichain of masks below ``2**width`` by members.
 
     In an antichain no member tuple is a prefix of another, so ascending
     member tuples are descending bit-reversed masks: one int, not a tuple.
-    Masks of one size form an antichain, so a second, stable sort of mixed
-    sizes by ``int.bit_count`` gives (size, members) order.
+    Reversing whole bytes pads every mask to the same width, which keeps the
+    order.  Masks of one size form an antichain, so a second, stable sort of
+    mixed sizes by ``int.bit_count`` gives (size, members) order.
     """
-    return lambda mask: -int(f"{mask:0{width}b}"[::-1], 2)
+    size = (width + 7) // 8
+    return lambda mask: -int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED), "big")
 
 
 @dataclass(frozen=True)
@@ -187,19 +196,18 @@ class TransversalMatroid:
 
     # mask-level core --------------------------------------------------
 
-    def _closed(self, mask: int, owner: list[int]) -> tuple[int, list[int]]:
-        """Closure of ``mask`` and the blocks swept, given a maximum matching ``owner`` of it.
+    def _closed(
+        self, mask: int, owner: list[int], free: list[int], matched: int
+    ) -> tuple[int, list[int]]:
+        """Closure of ``mask`` and the blocks swept, given a maximum matching of it.
 
-        Breadth-first from the unmatched blocks, a block is queued once its
-        owner is reached; the closure adds every element the queue misses.
+        ``owner`` gives each block's element index or -1, ``free`` the
+        blocks at -1 in ascending order and ``matched`` the matched elements.
+        Breadth-first from the free blocks, a block is queued once its owner
+        is reached; the closure adds every element the queue misses.
         """
         blocks = self.family.block_masks
-        queue, matched = [], 0
-        for b, i in enumerate(owner):
-            if i < 0:
-                queue.append(b)
-            else:
-                matched |= 1 << i
+        queue = free.copy()
         reached = 0
         for b in queue:
             new = blocks[b] & ~reached
@@ -211,11 +219,11 @@ class TransversalMatroid:
                 new ^= low
         return mask | (self.ground.full_mask & ~reached), queue
 
-    def _shift(self, i: int, owner: list[int], queue: list[int]) -> None:
+    def _shift(self, i: int, owner: list[int], queue: list[int]) -> int:
         """Match element ``i``, reached by the sweep that gave ``queue``.
 
         Each block's owner moves to the first block in ``queue`` holding it,
-        queued earlier, so the walk ends at an unmatched block.
+        queued earlier, so the walk ends at a free block, which is returned.
         """
         blocks = self.family.block_masks
         while i >= 0:
@@ -223,22 +231,28 @@ class TransversalMatroid:
                 if blocks[b] >> i & 1:
                     break
             owner[b], i = i, owner[b]
+        return b
 
-    def _matching(self, mask: int) -> list[int]:
-        """Maximum matching ``owner`` of ``mask``: per block, its element index or -1."""
+    def _matching(self, mask: int) -> tuple[list[int], list[int], int]:
+        """Maximum matching of ``mask``.
+
+        Returned as the ``owner, free, matched`` state that :meth:`_closed` takes.
+        """
         self.ground.refuse_outside(mask)
         owner = [-1] * self.family.size
+        free, matched = list(range(self.family.size)), 0
         for i in iter_bits(mask):
-            closure, queue = self._closed(0, owner)
+            closure, queue = self._closed(0, owner, free, matched)
             if not closure >> i & 1:
-                self._shift(i, owner, queue)
-        return owner
+                free.remove(self._shift(i, owner, queue))
+                matched |= 1 << i
+        return owner, free, matched
 
     def rank_mask(self, mask: int) -> int:
-        return sum(1 for i in self._matching(mask) if i >= 0)
+        return self._matching(mask)[2].bit_count()
 
     def closure_mask(self, mask: int) -> int:
-        return self._closed(mask, self._matching(mask))[0]
+        return self._closed(mask, *self._matching(mask))[0]
 
     def flat_masks(self) -> tuple[int, ...]:
         """All closed sets, sorted by (rank, member indices).
@@ -253,19 +267,19 @@ class TransversalMatroid:
         """
         if self._flat_record is None:
             full = self.ground.full_mask
-            unmatched = [-1] * self.family.size
-            loops, queue = self._closed(0, unmatched)
-            level = {loops: (unmatched, queue, [])}
+            empty = self._matching(0)
+            loops, queue = self._closed(0, *empty)
+            level = {loops: (*empty, queue, [])}
             masks, ranks, covers = [], [], []
             rank = 0
             while level:
-                # the next rank's flats found so far, with their matchings,
-                # swept blocks and lower flats; ``holders[i]`` masks the found
-                # flats holding element i, and ``holders[-1]`` holds them all
-                above, found = {}, []
-                holders = [0] * len(self.ground) + [-1]
+                # the next rank's flats found so far, with their matchings and
+                # swept blocks; ``lowers[s]`` lists the lower flats of found
+                # flat s, and ``holders[i]`` masks the found flats holding element i
+                above, found, lowers = {}, [], []
+                holders = [0] * len(self.ground)
                 for flat in sorted(level, key=members_order(len(self.ground))):
-                    owner, queue, lower = level[flat]
+                    owner, free, matched, queue, lower = level[flat]
                     here = len(masks)
                     for k in lower:
                         covers[k].append(here)
@@ -275,23 +289,27 @@ class TransversalMatroid:
                     rest = full & ~flat
                     # a found flat holding flat's matched basis holds flat, so covers it
                     held = (1 << len(found)) - 1
-                    for i in owner:
-                        held &= holders[i]
+                    basis = matched
+                    while basis:
+                        low = basis & -basis
+                        held &= holders[low.bit_length() - 1]
+                        basis ^= low
                     while held:
                         low = held & -held
-                        cover = found[low.bit_length() - 1]
-                        above[cover][2].append(here)
-                        rest &= ~cover
+                        s = low.bit_length() - 1
+                        lowers[s].append(here)
+                        rest &= ~found[s]
                         held ^= low
                     while rest:
                         bit = rest & -rest
-                        grown = owner.copy()
-                        self._shift(bit.bit_length() - 1, grown, queue)
-                        cover, reach = self._closed(flat | bit, grown)
+                        grown, left = owner.copy(), free.copy()
+                        left.remove(self._shift(bit.bit_length() - 1, grown, queue))
+                        cover, reach = self._closed(flat | bit, grown, left, matched | bit)
                         rest &= ~cover
-                        above[cover] = grown, reach, [here]
                         slot = 1 << len(found)
                         found.append(cover)
+                        lowers.append([here])
+                        above[cover] = grown, left, matched | bit, reach, lowers[-1]
                         new = cover & ~loops
                         while new:
                             low = new & -new
@@ -324,7 +342,7 @@ class TransversalMatroid:
         first; each level is a set, so no partial transversal repeats.
         """
         blocks = self.family.block_masks
-        owner = self._matching(self.ground.full_mask)
+        owner = self._matching(self.ground.full_mask)[0]
         matched = sorted((blocks[b] for b, i in enumerate(owner) if i >= 0), key=int.bit_count)
         level = {0}
         for block in matched:

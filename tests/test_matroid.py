@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from latmat import (
@@ -12,7 +13,7 @@ from latmat import (
     build_lattice,
 )
 from latmat.dependence import minimal_hitting_masks
-from latmat.matroid import iter_bits
+from latmat.matroid import iter_bits, members_order
 from strategies import family_and_subsets, set_families
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,30 @@ def test_family_allows_duplicate_blocks():
     matroid = TransversalMatroid(family)
     assert matroid.rank({1, 2}) == 1
     assert matroid.closure(()) == frozenset({2})
+
+
+# ---------------------------------------------------------------------------
+# order key
+
+
+@st.composite
+def widths_and_masks(draw):
+    width = draw(st.integers(1, 40))
+    masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30))
+    top = 1 << width - 1
+    return width, masks + [mask | top for mask in masks]
+
+
+@given(widths_and_masks())
+@settings(max_examples=200, deadline=None)
+def test_members_order_sorts_by_member_tuples(case):
+    width, masks = case
+    key = members_order(width)
+    for size in {mask.bit_count() for mask in masks}:
+        same = [mask for mask in masks if mask.bit_count() == size]
+        assert sorted(same, key=key) == sorted(same, key=lambda m: tuple(iter_bits(m)))
+    by_size = sorted(sorted(masks, key=key), key=int.bit_count)
+    assert by_size == sorted(masks, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +366,21 @@ def test_matching_is_a_maximum_matching(family):
     matroid = TransversalMatroid(family)
     ranks = oracles.rank_table(family)
     for mask in range(1 << len(family.ground)):
-        owner = matroid._matching(mask)
+        owner = matroid._matching(mask)[0]
         matched = [(i, b) for b, i in enumerate(owner) if i >= 0]
         for i, b in matched:
             assert mask >> i & 1 and family.block_masks[b] >> i & 1
         assert len({i for i, _ in matched}) == len(matched) == ranks[mask]
+
+
+@given(set_families(max_elements=7, max_blocks=6))
+@settings(max_examples=100, deadline=None)
+def test_matching_carries_free_blocks_and_matched_elements(family):
+    matroid = TransversalMatroid(family)
+    for mask in range(1 << len(family.ground)):
+        owner, free, matched = matroid._matching(mask)
+        assert free == [b for b, i in enumerate(owner) if i < 0]
+        assert matched == sum(1 << i for i in owner if i >= 0)
 
 
 @given(set_families(max_elements=6, max_blocks=8))
@@ -380,9 +415,9 @@ def test_flat_enumeration_closes_each_flat_once(elements, blocks, monkeypatch):
     closed = matroid._closed
     calls = []
 
-    def counting(mask, owner):
+    def counting(mask, *state):
         calls.append(mask)
-        return closed(mask, owner)
+        return closed(mask, *state)
 
     monkeypatch.setattr(matroid, "_closed", counting)
     flats = matroid.flat_masks()
