@@ -4,7 +4,8 @@ Coverings and families arrive as JSON documents with ``universe`` and
 ``blocks`` keys; information tables arrive as CSV with attribute names in the
 header row and object names in the first column.  All outputs are
 byte-deterministic for identical inputs.  Every output is rendered from
-masks through the token tables of ``GroundSet``; ``--json`` documents go
+masks through the token tables of ``GroundSet``, one pass per list of
+masks, and written with one ``sys.stdout.write``; ``--json`` documents go
 through one writer, :func:`to_json`.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
@@ -26,7 +27,7 @@ from .covering import check_covering_equivalences, is_covering
 from .errors import CapacityError, DocumentError, LatmatError
 from .infosys import InformationSystem
 from .lattice import build_lattice
-from .matroid import GroundSet, SetFamily, TransversalMatroid, pick
+from .matroid import GroundSet, SetFamily, TransversalMatroid, labels, pick
 
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_ATTRIBUTES = 15
@@ -161,20 +162,62 @@ class Members:
         self.mask = mask
 
 
+class MemberLists:
+    """Masks of ``ground`` that :func:`to_json` writes as a list of member lists."""
+
+    __slots__ = ("ground", "masks")
+
+    def __init__(self, ground: GroundSet, masks):
+        self.ground = ground
+        self.masks = masks
+
+
+class Flats:
+    """Flats of ``ground`` and their heights, for :func:`to_json`.
+
+    Written as a list of ``{"members": [...], "height": h}`` objects, each
+    built as one string.
+    """
+
+    __slots__ = ("ground", "masks", "heights")
+
+    def __init__(self, ground: GroundSet, masks, heights):
+        self.ground = ground
+        self.masks = masks
+        self.heights = heights
+
+
+def _member_lists(tokens, masks, pad: str) -> list[str]:
+    """Each mask's members from ``tokens`` as a JSON list at indent ``pad``."""
+    inner = pad + "  "
+    sep = "," + inner
+    return ["[" + inner + sep.join(pick(tokens, m)) + pad + "]" if m else "[]" for m in masks]
+
+
 def to_json(value, pad: str = "\n") -> str:
     """``value`` written exactly as ``json.dumps(value, indent=2)`` writes it.
 
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
-    bools, None and :class:`Members`, whose members are written from
-    ``GroundSet.tokens``.  ``pad`` is the newline and indent of the level
+    bools, None, :class:`Members`, :class:`MemberLists` and :class:`Flats`,
+    whose members are written from ``GroundSet.tokens``, one list of masks
+    in one pass.  ``pad`` is the newline and indent of the level
     that holds ``value``.
     """
     kind = type(value)
-    if kind is Members:
-        items = pick(value.ground.tokens, value.mask)
-    elif kind is list or kind is tuple:
+    if kind is list or kind is tuple:  # first: the lattice's covers are a tuple per flat
         inner = pad + "  "
         items = [str(v) if type(v) is int else to_json(v, inner) for v in value]
+    elif kind is Members:
+        items = pick(value.ground.tokens, value.mask)
+    elif kind is MemberLists:
+        items = _member_lists(value.ground.tokens, value.masks, pad + "  ")
+    elif kind is Flats:
+        inner, deeper = pad + "  ", pad + "    "
+        head, middle = "{" + deeper + '"members": ', "," + deeper + '"height": '
+        members = _member_lists(value.ground.tokens, value.masks, deeper)
+        items = [
+            head + m + middle + str(h) + inner + "}" for m, h in zip(members, value.heights)
+        ]
     elif kind is dict:
         if not value:
             return "{}"
@@ -201,7 +244,12 @@ def to_json(value, pad: str = "\n") -> str:
 
 
 def fmt_many(ground: GroundSet, masks) -> str:
-    return " ".join(map(ground.label, masks))
+    return " ".join(labels(ground.texts, masks))
+
+
+def _write(lines: list[str]) -> None:
+    """The whole of a command's stdout in one write, a newline after each line."""
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _yesno(flag: bool) -> str:
@@ -239,10 +287,7 @@ def cmd_lattice(args) -> int:
     if args.json:
         doc = {
             "universe": Members(ground, ground.full_mask),
-            "flats": [
-                {"members": Members(ground, mask), "height": height}
-                for mask, height in zip(lattice.masks, lattice.heights)
-            ],
+            "flats": Flats(ground, lattice.masks, lattice.heights),
             "covers": lattice.covers,
             "bottom": lattice.bottom,
             "top": lattice.top,
@@ -250,27 +295,29 @@ def cmd_lattice(args) -> int:
         }
         if checks:
             doc["covering_checks"] = checks
-        print(to_json(doc))
+        _write([to_json(doc)])
         return 0
 
-    print("universe:", " ".join(ground.texts))
-    print("blocks:", fmt_many(ground, family.block_masks))
-    print("covering:", _yesno(covering))
-    print("rank:", matroid.ground_rank)
-    print(f"flats ({len(lattice.masks)}):")
     rows: dict[int, list[int]] = {}  # heights ascend in canonical order
     for mask, height in zip(lattice.masks, lattice.heights):
         rows.setdefault(height, []).append(mask)
     texts = {height: fmt_many(ground, row) for height, row in rows.items()}
-    for height, text in texts.items():
-        print(f"  height {height}: " + text)
-    print("atoms:", texts[1])
-    print("coatoms:", texts[matroid.ground_rank - 1])
+    lines = [
+        "universe: " + " ".join(ground.texts),
+        "blocks: " + fmt_many(ground, family.block_masks),
+        "covering: " + _yesno(covering),
+        f"rank: {matroid.ground_rank}",
+        f"flats ({len(lattice.masks)}):",
+        *[f"  height {height}: {text}" for height, text in texts.items()],
+        "atoms: " + texts[1],
+        "coatoms: " + texts[matroid.ground_rank - 1],
+    ]
     if checks:
-        print(
-            "covering checks:",
-            *(f"{name.replace('_', '-')}={_yesno(flag)}" for name, flag in checks.items()),
+        lines.append(
+            "covering checks: "
+            + " ".join(f"{name.replace('_', '-')}={_yesno(flag)}" for name, flag in checks.items())
         )
+    _write(lines)
     return 0
 
 
@@ -285,20 +332,21 @@ def cmd_reducts(args) -> int:
         doc = {
             "universe": Members(ground, ground.full_mask),
             "rank": matroid.ground_rank,
-            "hyperplanes": [Members(ground, h) for h in hyperplanes],
-            "complements": [Members(ground, c) for c in complements],
-            "reducts": [Members(ground, r) for r in reducts],
+            "hyperplanes": MemberLists(ground, hyperplanes),
+            "complements": MemberLists(ground, complements),
+            "reducts": MemberLists(ground, reducts),
         }
-        print(to_json(doc))
+        _write([to_json(doc)])
         return 0
 
-    print("universe:", " ".join(ground.texts))
-    print("rank:", matroid.ground_rank)
-    print(f"hyperplanes ({len(hyperplanes)}):", fmt_many(ground, hyperplanes))
-    print(f"complements ({len(complements)}):", fmt_many(ground, complements))
-    print(f"reducts ({len(reducts)}):")
-    for reduct in reducts:
-        print("  " + ground.label(reduct))
+    _write([
+        "universe: " + " ".join(ground.texts),
+        f"rank: {matroid.ground_rank}",
+        f"hyperplanes ({len(hyperplanes)}): " + fmt_many(ground, hyperplanes),
+        f"complements ({len(complements)}): " + fmt_many(ground, complements),
+        f"reducts ({len(reducts)}):",
+        *["  " + label for label in labels(ground.texts, reducts)],
+    ])
     return 0
 
 
@@ -318,31 +366,34 @@ def cmd_infosys(args) -> int:
             "attributes": Members(attributes, attributes.full_mask),
             "decision": args.decision,
             "partitions": {
-                a: [Members(objects, b) for b in system.partition_masks(1 << j)]
+                a: MemberLists(objects, system.partition_masks(1 << j))
                 for j, a in enumerate(system.attributes)
             },
-            "attribute_blocks": [Members(attributes, b) for b in system.quotient_masks],
+            "attribute_blocks": MemberLists(attributes, system.quotient_masks),
             "condition_holds": condition,
             "method": method,
-            "reducts": [Members(attributes, r) for r in reducts],
+            "reducts": MemberLists(attributes, reducts),
         }
-        print(to_json(doc))
+        _write([to_json(doc)])
         return 0
 
-    print("objects:", " ".join(objects.texts))
-    print("attributes:", " ".join(attributes.texts))
+    lines = ["objects: " + " ".join(objects.texts), "attributes: " + " ".join(attributes.texts)]
     if args.decision is not None:
-        print(f"decision column: {args.decision} (excluded from reduction)")
-    print("partitions:")
-    for j, a in enumerate(system.attributes):
-        print(f"  {a}: " + fmt_many(objects, system.partition_masks(1 << j)))
-    print("attribute blocks:", fmt_many(attributes, system.quotient_masks))
-    print("condition:", "holds" if condition else "fails")
+        lines.append(f"decision column: {args.decision} (excluded from reduction)")
+    lines.append("partitions:")
+    lines += [
+        f"  {a}: " + fmt_many(objects, system.partition_masks(1 << j))
+        for j, a in enumerate(system.attributes)
+    ]
+    lines += [
+        "attribute blocks: " + fmt_many(attributes, system.quotient_masks),
+        "condition: " + ("holds" if condition else "fails"),
+    ]
     if not condition:
-        print("note: condition fails; falling back to brute-force reducts")
-    print(f"reducts ({len(reducts)}) via {method}:")
-    for reduct in reducts:
-        print("  " + attributes.label(reduct))
+        lines.append("note: condition fails; falling back to brute-force reducts")
+    lines.append(f"reducts ({len(reducts)}) via {method}:")
+    lines += ["  " + label for label in labels(attributes.texts, reducts)]
+    _write(lines)
     return 0
 
 

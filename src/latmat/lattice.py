@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import NotAFlatError
-from .matroid import GroundSet, TransversalMatroid
+from .matroid import GroundSet, TransversalMatroid, labels
 
 __all__ = ["GeometricLattice", "GeometricityReport", "build_lattice"]
 
@@ -168,9 +168,11 @@ class GeometricLattice:
         """Hasse diagram as a deterministic DOT digraph, one rank row per height.
 
         Labels escape ``\\`` and ``"``, so Graphviz prints them as
-        :meth:`GroundSet.label` writes them.
+        :meth:`GroundSet.label` writes them.  Escaping acts per character and
+        braces and commas need none, so each element text is escaped once
+        and the labels are joined from the escaped texts.
         """
-        label = self.ground.label
+        escaped = [_dot_escape(text) for text in self.ground.texts]
         ids = [f"n{i}" for i in range(len(self.masks))]
         rows: dict[int, list[str]] = {}  # heights ascend in canonical order
         for node, height in zip(ids, self.heights):
@@ -180,8 +182,8 @@ class GeometricLattice:
             "  rankdir=BT;",
             "  node [shape=box];",
             *[
-                f'  {node} [label="{_dot_escape(label(mask))}"];'
-                for node, mask in zip(ids, self.masks)
+                f'  {node} [label="{label}"];'
+                for node, label in zip(ids, labels(escaped, self.masks))
             ],
             *["  { rank=same; " + "; ".join(row) + "; }" for row in rows.values()],
             *[f"  {ids[i]} -> {ids[j]};" for i, ups in enumerate(self.covers) for j in ups],

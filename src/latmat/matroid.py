@@ -24,6 +24,7 @@ __all__ = [
     "SetFamily",
     "TransversalMatroid",
     "iter_bits",
+    "labels",
     "members_order",
     "pick",
 ]
@@ -45,6 +46,15 @@ def pick(table: Sequence, mask: int) -> list:
         out.append(table[low.bit_length() - 1])
         mask ^= low
     return out
+
+
+def labels(table: Sequence[str], masks: Iterable[int]) -> list[str]:
+    """Each mask written as ``{a,b}`` from the entries of ``table`` at its bits.
+
+    One pass over ``masks``: :meth:`GroundSet.label` of each mask when
+    ``table`` is the ground's ``texts``.
+    """
+    return ["{" + ",".join(pick(table, mask)) + "}" for mask in masks]
 
 
 _REVERSED = [0]  # _REVERSED[b] is byte b with its bits in reverse order

@@ -9,7 +9,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,6 +23,8 @@ from latmat import (
     reducts_via_hyperplanes,
 )
 from latmat.cli import (
+    Flats,
+    MemberLists,
     Members,
     build_parser,
     load_covering_document,
@@ -627,6 +629,72 @@ def test_family_commands_match_oracles(family):
     assert set(reducts) == oracles.minimal_spanning_masks(family)
 
 
+# Text output against references that print each line through
+# GroundSet.label.  The commands inline the label format and write their
+# whole output at once; these references keep that format tied to ``label``.
+
+
+def _reducts_text_reference(family) -> str:
+    matroid = TransversalMatroid(family)
+    ground = family.ground
+    hyperplanes = matroid.hyperplane_masks()
+    complements = [ground.full_mask & ~h for h in hyperplanes]
+    reducts = matroid.basis_masks()
+    out = io.StringIO()
+    print("universe:", " ".join(map(str, ground)), file=out)
+    print("rank:", matroid.ground_rank, file=out)
+    print(f"hyperplanes ({len(hyperplanes)}):", " ".join(map(ground.label, hyperplanes)), file=out)
+    print(f"complements ({len(complements)}):", " ".join(map(ground.label, complements)), file=out)
+    print(f"reducts ({len(reducts)}):", file=out)
+    for reduct in reducts:
+        print("  " + ground.label(reduct), file=out)
+    return out.getvalue()
+
+
+def _infosys_text_reference(table, force_brute: bool) -> str:
+    attributes, objects = table.attribute_ground, table.object_ground
+    condition = table.check_saturation_condition()
+    if condition and not force_brute:
+        method, reducts = "quotient-rule", table.quotient_reduct_masks()
+    else:
+        method, reducts = "brute-force", table.discernibility_reduct_masks()
+    out = io.StringIO()
+    print("objects:", " ".join(map(str, table.objects)), file=out)
+    print("attributes:", " ".join(map(str, table.attributes)), file=out)
+    print("partitions:", file=out)
+    for j, a in enumerate(table.attributes):
+        print(f"  {a}:", " ".join(map(objects.label, table.partition_masks(1 << j))), file=out)
+    print("attribute blocks:", " ".join(map(attributes.label, table.quotient_masks)), file=out)
+    print("condition:", "holds" if condition else "fails", file=out)
+    if not condition:
+        print("note: condition fails; falling back to brute-force reducts", file=out)
+    print(f"reducts ({len(reducts)}) via {method}:", file=out)
+    for reduct in reducts:
+        print("  " + attributes.label(reduct), file=out)
+    return out.getvalue()
+
+
+@given(set_families(max_elements=7), information_systems(max_copies=3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_text_output_matches_line_by_line_labels(family, table, force_brute):
+    flags = ["--force-brute"] if force_brute else []
+    with tempfile.TemporaryDirectory() as tmp:
+        family_path = os.path.join(tmp, "family.json")
+        with open(family_path, "w", encoding="utf-8") as handle:
+            blocks = [sorted(block) for block in family.blocks]
+            json.dump({"universe": list(family.ground), "blocks": blocks}, handle)
+        table_path = os.path.join(tmp, "table.csv")
+        with open(table_path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(("object",) + table.attributes) + "\n")
+            for x, values in zip(table.objects, table.rows):
+                handle.write(",".join((x,) + values) + "\n")
+        assert _run(["reducts", family_path]) == (0, _reducts_text_reference(family))
+        assert _run(["infosys", table_path, *flags]) == (
+            0,
+            _infosys_text_reference(table, force_brute),
+        )
+
+
 def _check_capped(forms, option, cap, size):
     """Each form with ``option cap`` exits 4 with one error line iff ``size > cap``.
 
@@ -701,14 +769,41 @@ def test_to_json_matches_json_dumps(value):
     assert to_json(value) == json.dumps(value, indent=2)
 
 
-@given(st.lists(JSON_TEXT | st.integers(), min_size=1, max_size=8, unique_by=str), st.data())
+@given(
+    st.lists(JSON_TEXT | st.integers(), min_size=1, max_size=8, unique_by=str),
+    st.lists(st.tuples(st.integers(0, 255), st.integers(0, 9)), max_size=5),
+)
 @settings(max_examples=100, deadline=None)
-def test_to_json_writes_members_from_tokens(elements, data):
+@example(['q"uote', "back\\slash", "é€😀", -7, 10**20], [(0, 0), (0b10110, 2), (255, 5)])
+@example([3], [(0, 0)])
+@example([3], [])
+def test_to_json_writes_members_from_tokens(elements, drawn):
+    # masks of a ground with string and int elements, the empty mask and the
+    # empty list among them, alone, in lists and as flats with heights
     ground = GroundSet(tuple(elements))
-    masks = data.draw(st.lists(st.integers(0, ground.full_mask), max_size=4))
-    value = {"sets": [Members(ground, m) for m in masks], "all": Members(ground, ground.full_mask)}
-    expected = {"sets": [list(ground.members(m)) for m in masks], "all": list(elements)}
+    masks = [bits & ground.full_mask for bits, _ in drawn]
+    heights = [height for _, height in drawn]
+    lists = MemberLists(ground, masks)
+    flats = Flats(ground, masks, heights)
+    value = {
+        "sets": [Members(ground, m) for m in masks],
+        "lists": lists,
+        "flats": flats,
+        "nested": [lists, [flats, Members(ground, 0)]],
+        "all": Members(ground, ground.full_mask),
+    }
+    members = [list(ground.members(m)) for m in masks]
+    plain_flats = [{"members": m, "height": h} for m, h in zip(members, heights)]
+    expected = {
+        "sets": members,
+        "lists": members,
+        "flats": plain_flats,
+        "nested": [members, [plain_flats, []]],
+        "all": list(elements),
+    }
     assert to_json(value) == json.dumps(expected, indent=2)
+    assert to_json(lists) == json.dumps(members, indent=2)
+    assert to_json(flats) == json.dumps(plain_flats, indent=2)
 
 
 # element names for documents: quotes, backslashes, commas, braces, non-ASCII

@@ -112,21 +112,36 @@ def test_readme_command_via_module(argv, monkeypatch, capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
-def test_closed_pipe_exits_quietly(tmp_path):
-    # 12 singleton blocks give 4,096 flats, far more DOT than a 64 KB pipe holds
-    path = tmp_path / "free12.json"
-    path.write_text(json.dumps({"universe": list(range(12)), "blocks": [[e] for e in range(12)]}))
-    # unbuffered, the one DOT write stops short at the closed pipe and never raises
+FREE12 = {"universe": list(range(12)), "blocks": [[e] for e in range(12)]}
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        # 12 singleton blocks give 4,096 flats, far more DOT than a 64 KB pipe holds
+        (["lattice", "free12.json", "--dot"], "digraph flats {\n"),
+        # U(8,16) prints 11,440 hyperplanes and 12,870 reducts, about 790 KB in one write
+        (
+            ["reducts", str(ROOT / "data" / "uniform-8-16.json")],
+            "universe: " + " ".join(map(str, range(1, 17))) + "\n",
+        ),
+    ],
+    ids=["lattice-dot", "reducts-uniform-8-16"],
+)
+def test_closed_pipe_exits_quietly(tmp_path, argv, first_line):
+    (tmp_path / "free12.json").write_text(json.dumps(FREE12))
+    # unbuffered, the one write stops short at the closed pipe and never raises
     env = module_env()
     env.pop("PYTHONUNBUFFERED", None)
     with subprocess.Popen(
-        [sys.executable, "-m", "latmat", "lattice", str(path), "--dot"],
+        [sys.executable, "-m", "latmat", *argv],
+        cwd=tmp_path,
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     ) as proc:
-        assert proc.stdout.readline() == "digraph flats {\n"
+        assert proc.stdout.readline() == first_line
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert "Traceback" not in proc.stderr.read()
