@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from .covering import check_covering_equivalences, is_covering
@@ -187,6 +186,15 @@ class Flats:
         self.heights = heights
 
 
+class IndexLists:
+    """Lists of ints, such as the lattice's covers, for :func:`to_json`."""
+
+    __slots__ = ("lists",)
+
+    def __init__(self, lists):
+        self.lists = lists
+
+
 def _member_lists(tokens, masks, pad: str) -> list[str]:
     """Each mask's members from ``tokens`` as a JSON list at indent ``pad``."""
     inner = pad + "  "
@@ -199,14 +207,14 @@ def to_json(value, pad: str = "\n") -> str:
 
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
     bools, None, :class:`Members`, :class:`MemberLists` and :class:`Flats`,
-    whose members are written from ``GroundSet.tokens``, one list of masks
-    in one pass.  ``pad`` is the newline and indent of the level
-    that holds ``value``.
+    whose members are written from ``GroundSet.tokens``, and
+    :class:`IndexLists`; each leaf writes its list in one pass.  ``pad`` is
+    the newline and indent of the level that holds ``value``.
     """
     kind = type(value)
-    if kind is list or kind is tuple:  # first: the lattice's covers are a tuple per flat
+    if kind is list or kind is tuple:
         inner = pad + "  "
-        items = [str(v) if type(v) is int else to_json(v, inner) for v in value]
+        items = [to_json(v, inner) for v in value]
     elif kind is Members:
         items = pick(value.ground.tokens, value.mask)
     elif kind is MemberLists:
@@ -217,6 +225,12 @@ def to_json(value, pad: str = "\n") -> str:
         members = _member_lists(value.ground.tokens, value.masks, deeper)
         items = [
             head + m + middle + str(h) + inner + "}" for m, h in zip(members, value.heights)
+        ]
+    elif kind is IndexLists:
+        inner, deeper = pad + "  ", pad + "    "
+        sep = "," + deeper
+        items = [
+            "[" + deeper + sep.join(map(str, c)) + inner + "]" if c else "[]" for c in value.lists
         ]
     elif kind is dict:
         if not value:
@@ -282,13 +296,13 @@ def cmd_lattice(args) -> int:
     if args.dot:
         sys.stdout.write(lattice.to_dot())
         return 0
-    checks = {} if covering else asdict(check_covering_equivalences(matroid))
+    checks = {} if covering else check_covering_equivalences(matroid)._asdict()
 
     if args.json:
         doc = {
             "universe": Members(ground, ground.full_mask),
             "flats": Flats(ground, lattice.masks, lattice.heights),
-            "covers": lattice.covers,
+            "covers": IndexLists(lattice.covers),
             "bottom": lattice.bottom,
             "top": lattice.top,
             "covering": covering,

@@ -10,9 +10,8 @@ approximation operators.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NotACoveringError, NotAFlatError
 from .matroid import SetFamily, TransversalMatroid, iter_bits, members_order
@@ -34,8 +33,7 @@ def is_covering(family: SetFamily) -> bool:
     return union == family.ground.full_mask
 
 
-@dataclass(frozen=True)
-class ResidueSplit:
+class ResidueSplit(NamedTuple):
     """Split of a covering into block residues and the multiply covered rest.
 
     ``residues`` holds, once each, every nonempty set of elements private to a
@@ -141,8 +139,7 @@ class Covering:
         return union == mask
 
 
-@dataclass(frozen=True)
-class CoveringEquivalenceReport:
+class CoveringEquivalenceReport(NamedTuple):
     """Truth values of the four equivalent covering characterizations.
 
     For any family of nonempty blocks the four statements agree: the blocks
@@ -158,7 +155,7 @@ class CoveringEquivalenceReport:
 
     @property
     def statements(self) -> tuple[bool, bool, bool, bool]:
-        return astuple(self)
+        return tuple(self)
 
     @property
     def consistent(self) -> bool:

@@ -14,7 +14,6 @@ guarded power-set scan survives as the oracle for both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Iterable
@@ -31,7 +30,6 @@ from .matroid import GroundSet, iter_bits, members_order
 __all__ = ["InformationSystem"]
 
 
-@dataclass(frozen=True)
 class InformationSystem:
     """Finite object/attribute table with a total value assignment.
 
@@ -42,14 +40,14 @@ class InformationSystem:
     ``object_ground``; the element-level methods wrap the mask-level ones.
     """
 
-    objects: tuple
-    attributes: tuple
-    rows: tuple[tuple, ...]
-    attribute_ground: GroundSet = field(init=False, repr=False, compare=False)
-    object_ground: GroundSet = field(init=False, repr=False, compare=False)
-    _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, objects: Iterable, attributes: Iterable, rows: Iterable[Iterable]):
+        self.objects = objects
+        self.attributes = attributes
+        self.rows = rows
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the table and derive its grounds and canonical columns."""
         objects = tuple(self.objects)
         attributes = tuple(self.attributes)
         rows = tuple(tuple(row) for row in self.rows)
@@ -79,12 +77,12 @@ class InformationSystem:
             columns.append(
                 tuple(ids.setdefault(rows[i][j], len(ids)) for i in range(len(objects)))
             )
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "attribute_ground", GroundSet(attributes))
-        object.__setattr__(self, "object_ground", GroundSet(objects))
-        object.__setattr__(self, "_columns", tuple(columns))
+        self.objects = objects
+        self.attributes = attributes
+        self.rows = rows
+        self.attribute_ground = GroundSet(attributes)
+        self.object_ground = GroundSet(objects)
+        self._columns = tuple(columns)
 
     def _cap_attributes(self, what: str, max_attributes: int) -> int:
         m = len(self.attributes)

@@ -8,9 +8,8 @@ the inducing matroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NotAFlatError
 from .matroid import GroundSet, TransversalMatroid, labels
@@ -22,8 +21,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-@dataclass(frozen=True)
-class GeometricityReport:
+class GeometricityReport(NamedTuple):
     """Outcome of the atomicity and height-semimodularity checks."""
 
     atomic: bool
@@ -36,7 +34,6 @@ class GeometricityReport:
         return self.atomic and self.semimodular
 
 
-@dataclass(frozen=True)
 class GeometricLattice:
     """Flats in canonical order plus their Hasse diagram.
 
@@ -46,10 +43,11 @@ class GeometricLattice:
     the bottom sits at index 0 and the top last.
     """
 
-    ground: GroundSet
-    masks: tuple[int, ...]
-    heights: tuple[int, ...]
-    covers: tuple[tuple[int, ...], ...]
+    def __init__(self, ground: GroundSet, masks: tuple, heights: tuple, covers: tuple):
+        self.ground = ground
+        self.masks = masks
+        self.heights = heights
+        self.covers = covers
 
     @property
     def bottom(self) -> int:

@@ -13,7 +13,6 @@ numbering, so enumeration order is deterministic for a fixed ground order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -77,7 +76,6 @@ def members_order(width: int) -> Callable[[int], int]:
     return lambda mask: -int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED), "big")
 
 
-@dataclass(frozen=True)
 class GroundSet:
     """Ordered universe of distinct elements with a stable bit numbering.
 
@@ -86,14 +84,10 @@ class GroundSet:
     hold.  Both are computed once, and every rendering reads them.
     """
 
-    elements: tuple[Hashable, ...]
-    full_mask: int = field(init=False, repr=False, compare=False)
-    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("elements", "full_mask", "texts", "tokens", "_index")
 
-    def __post_init__(self):
-        elements = tuple(self.elements)
+    def __init__(self, elements: Iterable[Hashable]):
+        elements = tuple(elements)
         if not elements:
             raise ValueError("ground set must not be empty")
         index: dict = {}
@@ -101,15 +95,13 @@ class GroundSet:
             if element in index:
                 raise ValueError(f"duplicate element {element!r} in ground set")
             index[element] = i
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "full_mask", (1 << len(elements)) - 1)
-        object.__setattr__(self, "texts", tuple(map(str, elements)))
-        object.__setattr__(
-            self,
-            "tokens",
-            tuple(encode_basestring_ascii(e) if isinstance(e, str) else str(e) for e in elements),
+        self.elements = elements
+        self.full_mask = (1 << len(elements)) - 1
+        self.texts = tuple(map(str, elements))
+        self.tokens = tuple(
+            encode_basestring_ascii(e) if isinstance(e, str) else str(e) for e in elements
         )
-        object.__setattr__(self, "_index", index)
+        self._index = index
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -157,7 +149,6 @@ class GroundSet:
             self.refuse_outside(mask)
 
 
-@dataclass(frozen=True)
 class SetFamily:
     """Indexed family of nonempty blocks over a ground set.
 
@@ -166,21 +157,20 @@ class SetFamily:
     matroid.
     """
 
-    ground: GroundSet
-    blocks: tuple[frozenset, ...]
-    block_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ground", "blocks", "block_masks")
 
-    def __post_init__(self):
-        blocks = tuple(frozenset(block) for block in self.blocks)
+    def __init__(self, ground: GroundSet, blocks: Iterable[Iterable]):
+        blocks = tuple(frozenset(block) for block in blocks)
         if not blocks:
             raise ValueError("family must contain at least one block")
         masks = []
         for k, block in enumerate(blocks):
             if not block:
                 raise ValueError(f"block {k} is empty")
-            masks.append(self.ground.mask_of(block))
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "block_masks", tuple(masks))
+            masks.append(ground.mask_of(block))
+        self.ground = ground
+        self.blocks = blocks
+        self.block_masks = tuple(masks)
 
     @property
     def size(self) -> int:

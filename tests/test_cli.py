@@ -24,6 +24,7 @@ from latmat import (
 )
 from latmat.cli import (
     Flats,
+    IndexLists,
     MemberLists,
     Members,
     build_parser,
@@ -804,6 +805,20 @@ def test_to_json_writes_members_from_tokens(elements, drawn):
     assert to_json(value) == json.dumps(expected, indent=2)
     assert to_json(lists) == json.dumps(members, indent=2)
     assert to_json(flats) == json.dumps(plain_flats, indent=2)
+
+
+@given(st.lists(st.lists(st.integers(0, 200), max_size=4).map(tuple), max_size=5))
+@settings(max_examples=100, deadline=None)
+@example([])
+@example([(), (3, 10, 11), (), (127,)])
+def test_to_json_writes_index_lists(covers):
+    # the lattice's covers: tuples of flat indices, the top flat's empty
+    lists = IndexLists(covers)
+    expected = [list(c) for c in covers]
+    assert to_json(lists) == json.dumps(expected, indent=2)
+    assert to_json({"covers": lists, "nested": [lists, {"deeper": lists}]}) == json.dumps(
+        {"covers": expected, "nested": [expected, {"deeper": expected}]}, indent=2
+    )
 
 
 # element names for documents: quotes, backslashes, commas, braces, non-ASCII

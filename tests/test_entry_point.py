@@ -145,3 +145,21 @@ def test_closed_pipe_exits_quietly(tmp_path, argv, first_line):
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert "Traceback" not in proc.stderr.read()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter: pytest itself has imported both modules here
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, latmat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        cwd=ROOT,
+        env=module_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
