@@ -1,13 +1,13 @@
 """Transversal matroids, flat lattices, and attribute reduction.
 
-The pipeline: a finite set family induces a transversal matroid (rank by
-bipartite matching); its closed sets form a geometric lattice; the lattice's
-coatoms drive attribute reduction through minimal hitting sets of their
-complements; and information tables reduce either by the same machinery or
-directly through the attribute quotient when the saturation condition holds.
-``latmat reducts`` prints the matroid's bases, built from the blocks one
-maximum matching uses; ``reducts_via_hyperplanes`` stays the paper's
-hyperplane route and the oracle those bases are checked against.
+The pipeline: a finite set family induces a transversal matroid, presented by
+the r blocks one maximum matching of the ground uses; its closed sets form a
+geometric lattice; the lattice's coatoms drive attribute reduction through
+minimal hitting sets of their complements; and information tables reduce
+either by the same machinery or directly through the attribute quotient when
+the saturation condition holds. ``latmat reducts`` prints the bases, the sets
+of distinct representatives of those r blocks; ``reducts_via_hyperplanes``
+stays the paper's hyperplane route and their oracle.
 """
 
 from .covering import (

@@ -3,12 +3,14 @@
 A family of nonempty blocks over a finite ground set induces a matroid whose
 independent sets are the partial transversals of the family: the subsets that
 can be matched injectively into blocks containing them.  Rank is therefore a
-maximum bipartite matching size.  One breadth-first sweep over a matching, the
-alternating forest of Kuhn's method, gives the closure and the blocks visited,
-along which one walk back matches any element outside it.  One pass over the
-flats, rank by rank, yields their ranks and Hasse covers, each flat closed
-once.  All subset arithmetic runs on bitmasks with a stable element-to-bit
-numbering, so enumeration order is deterministic for a fixed ground order.
+maximum bipartite matching size, taken over the r blocks that one maximum
+matching of the ground uses: they present the same matroid (Oxley, *Matroid
+Theory*, 1.6).  One breadth-first sweep over a matching, the alternating
+forest of Kuhn's method, gives the closure and the blocks visited, along which
+one walk back matches any element outside it.  One pass over the flats, rank
+by rank, yields their ranks and Hasse covers, each flat closed once.  All
+subset arithmetic runs on bitmasks with a stable element-to-bit numbering, so
+enumeration order is deterministic for a fixed ground order.
 """
 
 from __future__ import annotations
@@ -172,16 +174,14 @@ class SetFamily:
         self.blocks = blocks
         self.block_masks = tuple(masks)
 
-    @property
-    def size(self) -> int:
-        return len(self.blocks)
-
 
 class TransversalMatroid:
     """Matroid whose independent sets are the partial transversals of a family.
 
     Rank is the size of a maximum matching of elements into blocks containing
-    them.  A sweep over a matching reaches the free-reaching blocks, those
+    them; the blocks one matching of the ground uses, in family order, are
+    the presentation every later sweep runs over, and ``family`` stays as
+    given.  A sweep over a matching reaches the free-reaching blocks, those
     unmatched or owned by an element of one; the closure adds every element
     they miss, and each element they hold is matched by one walk back.
     The first :meth:`flat_masks` call enumerates the flats with their ranks
@@ -192,7 +192,10 @@ class TransversalMatroid:
         self.family = family
         self.ground = family.ground
         self._flat_record: tuple | None = None  # (masks, ranks, covers)
-        self.ground_rank = self.rank_mask(self.ground.full_mask)
+        self._blocks = family.block_masks  # until the ground's matching picks r of them
+        owner = self._matching(self.ground.full_mask)[0]
+        self._blocks = tuple(self._blocks[b] for b, i in enumerate(owner) if i >= 0)
+        self.ground_rank = len(self._blocks)
 
     # mask-level core --------------------------------------------------
 
@@ -206,7 +209,7 @@ class TransversalMatroid:
         Breadth-first from the free blocks, a block is queued once its owner
         is reached; the closure adds every element the queue misses.
         """
-        blocks = self.family.block_masks
+        blocks = self._blocks
         queue = free.copy()
         reached = 0
         for b in queue:
@@ -225,7 +228,7 @@ class TransversalMatroid:
         Each block's owner moves to the first block in ``queue`` holding it,
         queued earlier, so the walk ends at a free block, which is returned.
         """
-        blocks = self.family.block_masks
+        blocks = self._blocks
         while i >= 0:
             for b in queue:
                 if blocks[b] >> i & 1:
@@ -239,8 +242,8 @@ class TransversalMatroid:
         Returned as the ``owner, free, matched`` state that :meth:`_closed` takes.
         """
         self.ground.refuse_outside(mask)
-        owner = [-1] * self.family.size
-        free, matched = list(range(self.family.size)), 0
+        owner = [-1] * len(self._blocks)
+        free, matched = list(range(len(self._blocks))), 0
         for i in iter_bits(mask):
             closure, queue = self._closed(0, owner, free, matched)
             if not closure >> i & 1:
@@ -336,16 +339,12 @@ class TransversalMatroid:
     def basis_masks(self) -> list[int]:
         """All bases, sorted by member indices.
 
-        The r blocks one maximum matching of the ground uses present the
-        matroid (Oxley, *Matroid Theory*, 1.6), so the bases are their sets
-        of distinct representatives, grown one block at a time, smallest
-        first; each level is a set, so no partial transversal repeats.
+        The bases are the sets of distinct representatives of the r presented
+        blocks, grown one block at a time, smallest first; each level is a
+        set, so no partial transversal repeats.
         """
-        blocks = self.family.block_masks
-        owner = self._matching(self.ground.full_mask)[0]
-        matched = sorted((blocks[b] for b, i in enumerate(owner) if i >= 0), key=int.bit_count)
         level = {0}
-        for block in matched:
+        for block in sorted(self._blocks, key=int.bit_count):
             bits = [1 << i for i in iter_bits(block)]
             level = {s | bit for s in level for bit in bits if not s & bit}
         return sorted(level, key=members_order(len(self.ground)))

@@ -469,6 +469,19 @@ def test_reducts_uniform_8_16(capsys):
     assert lines[-1] == "  {9,10,11,12,13,14,15,16}"
 
 
+def test_lattice_prints_every_block_of_many_blocks(capsys):
+    # 57 blocks of rank 9: the blocks line lists the family, not its presentation
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "many-blocks.json")
+    with open(path) as f:
+        blocks = json.load(f)["blocks"]
+    assert len(blocks) == 57
+    assert main(["lattice", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = " ".join("{" + ",".join(map(str, block)) + "}" for block in blocks)
+    assert lines[1] == "blocks: " + expected
+    assert lines[3] == "rank: 9"
+
+
 # ---------------------------------------------------------------------------
 # infosys command
 

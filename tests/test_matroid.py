@@ -1,5 +1,7 @@
 """Transversal matroid core: independence, rank, closure, flats, hyperplanes."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from latmat import (
     UnknownElementError,
     build_lattice,
 )
+from latmat.cli import load_covering_document
 from latmat.dependence import minimal_hitting_masks
 from latmat.matroid import iter_bits, members_order
 from strategies import family_and_subsets, set_families
@@ -368,8 +371,8 @@ def test_matching_is_a_maximum_matching(family):
     for mask in range(1 << len(family.ground)):
         owner = matroid._matching(mask)[0]
         matched = [(i, b) for b, i in enumerate(owner) if i >= 0]
-        for i, b in matched:
-            assert mask >> i & 1 and family.block_masks[b] >> i & 1
+        for i, b in matched:  # owner indexes the presented blocks
+            assert mask >> i & 1 and matroid._blocks[b] >> i & 1
         assert len({i for i, _ in matched}) == len(matched) == ranks[mask]
 
 
@@ -381,6 +384,35 @@ def test_matching_carries_free_blocks_and_matched_elements(family):
         owner, free, matched = matroid._matching(mask)
         assert free == [b for b, i in enumerate(owner) if i < 0]
         assert matched == sum(1 << i for i in owner if i >= 0)
+
+
+@given(set_families(max_elements=5, max_blocks=8))
+@settings(max_examples=60, deadline=None)
+def test_presentation_by_matched_blocks(family):
+    # up to 8 blocks on up to 5 elements, so many draws repeat blocks or exceed the rank
+    matroid = TransversalMatroid(family)
+    ground = family.ground
+    presented = matroid._blocks
+    assert len(presented) == matroid.ground_rank
+    # a subsequence of the family's blocks, so a sub-multiset in family order
+    rest = iter(family.block_masks)
+    assert all(block in rest for block in presented)
+    cut = TransversalMatroid(SetFamily(ground, [ground.members(b) for b in presented]))
+    ranks = oracles.rank_table(family)
+    closures = oracles.closure_table(family)
+    for mask in range(1 << len(ground)):
+        assert matroid.rank_mask(mask) == cut.rank_mask(mask) == ranks[mask]
+        assert matroid.closure_mask(mask) == cut.closure_mask(mask) == closures[mask]
+    flats = matroid.flat_masks()
+    assert flats == cut.flat_masks()
+    assert set(flats) == oracles.flat_masks(family)
+    assert matroid.flat_ranks() == cut.flat_ranks() == tuple(ranks[f] for f in flats)
+    assert matroid.flat_covers() == cut.flat_covers()
+    edges = {(flats[k], flats[up]) for k, ups in enumerate(matroid.flat_covers()) for up in ups}
+    assert edges == oracles.cover_pairs(set(flats))
+    bases = matroid.basis_masks()
+    assert bases == cut.basis_masks()
+    assert set(bases) == oracles.minimal_spanning_masks(family)
 
 
 @given(set_families(max_elements=6, max_blocks=8))
@@ -423,6 +455,27 @@ def test_flat_enumeration_closes_each_flat_once(elements, blocks, monkeypatch):
     flats = matroid.flat_masks()
     # one closure for the bottom flat, then one per flat above it
     assert len(calls) == len(flats)
+
+
+def test_sweeps_queue_at_most_rank_blocks(monkeypatch):
+    # data/many-blocks.json: 57 blocks, rank 9; a sweep over the whole family
+    # would queue up to 57 of them
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "many-blocks.json")
+    family = load_covering_document(path)
+    matroid = TransversalMatroid(family)
+    assert (len(family.block_masks), matroid.ground_rank) == (57, 9)
+    closed = matroid._closed
+    queued = []
+
+    def recording(mask, *state):
+        closure, queue = closed(mask, *state)
+        queued.append(len(queue))
+        return closure, queue
+
+    monkeypatch.setattr(matroid, "_closed", recording)
+    assert len(matroid.flat_masks()) == 512
+    assert len(matroid.basis_masks()) == 4
+    assert queued and max(queued) <= matroid.ground_rank
 
 
 @given(set_families(max_elements=8, max_blocks=6))
