@@ -380,8 +380,8 @@ def cmd_infosys(args) -> int:
             "attributes": Members(attributes, attributes.full_mask),
             "decision": args.decision,
             "partitions": {
-                a: MemberLists(objects, system.partition_masks(1 << j))
-                for j, a in enumerate(system.attributes)
+                a: MemberLists(objects, system.partition_masks(bit))
+                for a, bit in zip(system.attributes, attributes.bits)
             },
             "attribute_blocks": MemberLists(attributes, system.quotient_masks),
             "condition_holds": condition,
@@ -396,8 +396,8 @@ def cmd_infosys(args) -> int:
         lines.append(f"decision column: {args.decision} (excluded from reduction)")
     lines.append("partitions:")
     lines += [
-        f"  {a}: " + fmt_many(objects, system.partition_masks(1 << j))
-        for j, a in enumerate(system.attributes)
+        f"  {a}: " + fmt_many(objects, system.partition_masks(bit))
+        for a, bit in zip(system.attributes, attributes.bits)
     ]
     lines += [
         "attribute blocks: " + fmt_many(attributes, system.quotient_masks),

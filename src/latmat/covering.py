@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import NotACoveringError, NotAFlatError
-from .matroid import SetFamily, TransversalMatroid, iter_bits, members_order
+from .matroid import SetFamily, TransversalMatroid
 
 __all__ = [
     "Covering",
@@ -64,9 +64,7 @@ class Covering:
 
     @cached_property
     def _singleton_closure_masks(self) -> tuple[int, ...]:
-        return tuple(
-            self.matroid.closure_mask(1 << i) for i in range(len(self.ground))
-        )
+        return tuple(map(self.matroid.closure_mask, self.ground.bits))
 
     @cached_property
     def singleton_closures(self) -> dict:
@@ -106,26 +104,26 @@ class Covering:
         and with the image of :attr:`singleton_closures`.
         """
         masks, shared = self._residue_masks()
-        masks.extend(1 << i for i in iter_bits(shared))
-        masks.sort(key=members_order(len(self.ground)))  # atoms are disjoint
+        masks.extend(bit for bit in self.ground.bits if bit & shared)
+        masks.sort(reverse=True)  # atoms are disjoint, so ints give member order
         return tuple(self.ground.subset_of(m) for m in masks)
 
     def lower_approx(self, subset: Iterable) -> frozenset:
         """Elements whose whole class fits inside ``subset``."""
         mask = self.ground.mask_of(subset)
         out = 0
-        for i, cls in enumerate(self._singleton_closure_masks):
+        for bit, cls in zip(self.ground.bits, self._singleton_closure_masks):
             if cls & ~mask == 0:
-                out |= 1 << i
+                out |= bit
         return self.ground.subset_of(out)
 
     def upper_approx(self, subset: Iterable) -> frozenset:
         """Elements whose class meets ``subset``."""
         mask = self.ground.mask_of(subset)
         out = 0
-        for i, cls in enumerate(self._singleton_closure_masks):
+        for bit, cls in zip(self.ground.bits, self._singleton_closure_masks):
             if cls & mask:
-                out |= 1 << i
+                out |= bit
         return self.ground.subset_of(out)
 
     def flat_is_union_of_closures(self, flat: Iterable) -> bool:
@@ -134,8 +132,9 @@ class Covering:
         if self.matroid.closure_mask(mask) != mask:
             raise NotAFlatError("argument is not a flat of the induced matroid")
         union = 0
-        for i in iter_bits(mask):
-            union |= self._singleton_closure_masks[i]
+        for bit, cls in zip(self.ground.bits, self._singleton_closure_masks):
+            if bit & mask:
+                union |= cls
         return union == mask
 
 
@@ -165,7 +164,7 @@ class CoveringEquivalenceReport(NamedTuple):
 def check_covering_equivalences(matroid: TransversalMatroid) -> CoveringEquivalenceReport:
     """Evaluate all four covering characterizations on the matroid's family."""
     ground = matroid.ground
-    image = {matroid.closure_mask(1 << i) for i in range(len(ground))}
+    image = set(map(matroid.closure_mask, ground.bits))
     # each element lies in its own closure, so the distinct closures cover
     # the ground set; they are pairwise disjoint iff their sizes sum to n
     partition = sum(c.bit_count() for c in image) == len(ground)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable
 
 from .errors import CapacityError, EmptyTargetError
-from .matroid import GroundSet, TransversalMatroid, members_order
+from .matroid import GroundSet, TransversalMatroid
 
 __all__ = [
     "DependenceSpace",
@@ -106,11 +106,12 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
     """All inclusion-minimal masks meeting every target mask.
 
     Depth-first branching on the unmet target with fewest remaining options
-    (MMCS, Murakami & Uno 2014).  The options are tried in bit order, and
-    each option's branch bans the lower ones, so no hitter is generated
+    (MMCS, Murakami & Uno 2014).  The options are tried lowest bit first,
+    and each option's branch bans the lower bits, so no hitter is generated
     twice.  A leaf is kept only when each chosen element is the sole chosen
     member of some target; that drops the non-minimal strays the branching
-    can reach.  Output is sorted by (size, member indices); with no targets
+    can reach.  Output is sorted by (size, member indices), which under the
+    ground's bit numbering is size, then descending int.  With no targets
     the empty mask is the unique answer.
     """
     target_masks = sorted(set(target_masks))
@@ -150,7 +151,7 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
                 stack.append((chosen | bit, banned, bit, pending))
             banned |= bit
 
-    found.sort(key=members_order(target_masks[-1].bit_length()))
+    found.sort(reverse=True)
     found.sort(key=int.bit_count)
     return found
 

@@ -25,7 +25,7 @@ from .errors import (
     UnknownAttributeError,
     UnknownElementError,
 )
-from .matroid import GroundSet, iter_bits, members_order
+from .matroid import GroundSet, iter_bits
 
 __all__ = ["InformationSystem"]
 
@@ -37,7 +37,9 @@ class InformationSystem:
     Values are compared as opaque tokens; no coercion is attempted, so
     "1" and 1 are different values.  Missing cells are rejected.
     Attribute and object subsets are bitmasks of ``attribute_ground`` and
-    ``object_ground``; the element-level methods wrap the mask-level ones.
+    ``object_ground``, built from their ``bits``; the mask-level reduct lists
+    come in (size, attribute indices) order, which is size, then descending
+    int.  The element-level methods wrap the mask-level ones.
     """
 
     def __init__(self, objects: Iterable, attributes: Iterable, rows: Iterable[Iterable]):
@@ -69,20 +71,18 @@ class InformationSystem:
             for value in row:
                 if value is None or value == "":
                     raise ValueError(f"missing value in row {i}")
-        # canonical per-attribute columns: value tokens replaced by class ids
-        # in first-occurrence order, so equal partitions give equal columns
-        columns = []
-        for j in range(len(attributes)):
-            ids: dict = {}
-            columns.append(
-                tuple(ids.setdefault(rows[i][j], len(ids)) for i in range(len(objects)))
-            )
         self.objects = objects
         self.attributes = attributes
         self.rows = rows
         self.attribute_ground = GroundSet(attributes)
         self.object_ground = GroundSet(objects)
-        self._columns = tuple(columns)
+        # canonical per-attribute columns, keyed by the attribute's bit in
+        # attribute order: value tokens replaced by class ids in
+        # first-occurrence order, so equal partitions give equal columns
+        self._columns = {}
+        for bit, column in zip(self.attribute_ground.bits, zip(*rows)):
+            ids: dict = {}
+            self._columns[bit] = tuple(ids.setdefault(value, len(ids)) for value in column)
 
     def _cap_attributes(self, what: str, max_attributes: int) -> int:
         m = len(self.attributes)
@@ -101,11 +101,11 @@ class InformationSystem:
     def _partition_key_of_mask(self, mask: int) -> tuple[int, ...]:
         if mask & (mask - 1) == 0:
             # no attribute or a single one, whose canonical column is its key
-            return self._columns[mask.bit_length() - 1] if mask else (0,) * len(self.objects)
+            return self._columns[mask] if mask else (0,) * len(self.objects)
         ids: dict = {}
         return tuple(
             ids.setdefault(row, len(ids))
-            for row in zip(*(self._columns[j] for j in iter_bits(mask)))
+            for row in zip(*(column for bit, column in self._columns.items() if bit & mask))
         )
 
     def partition_key(self, attrs: Iterable) -> tuple[int, ...]:
@@ -121,10 +121,11 @@ class InformationSystem:
 
         Blocks are ordered by their first object, the order of the class ids.
         """
+        self.attribute_ground.refuse_outside(attr_mask)
         key = self._partition_key_of_mask(attr_mask)
         blocks = [0] * (max(key) + 1)
-        for i, cid in enumerate(key):
-            blocks[cid] |= 1 << i
+        for bit, cid in zip(self.object_ground.bits, key):
+            blocks[cid] |= bit
         return tuple(blocks)
 
     def indiscernibility(self, attrs: Iterable) -> tuple[frozenset, ...]:
@@ -145,8 +146,8 @@ class InformationSystem:
         Blocks are ordered by their first attribute.
         """
         groups: dict[tuple[int, ...], int] = {}
-        for j, column in enumerate(self._columns):
-            groups[column] = groups.get(column, 0) | 1 << j
+        for bit, column in self._columns.items():
+            groups[column] = groups.get(column, 0) | bit
         return tuple(groups.values())
 
     def attribute_quotient(self) -> tuple[frozenset, ...]:
@@ -175,8 +176,9 @@ class InformationSystem:
         representatives = sum(block & -block for block in self.quotient_masks)
         full_key = self._partition_key_of_mask(representatives)
         return all(
-            self._partition_key_of_mask(representatives & ~(1 << j)) != full_key
-            for j in iter_bits(representatives)
+            self._partition_key_of_mask(representatives ^ bit) != full_key
+            for bit in self.attribute_ground.bits
+            if bit & representatives
         )
 
     # reducts ----------------------------------------------------------------
@@ -189,8 +191,9 @@ class InformationSystem:
         Output sorted by (size, attribute indices).
         """
         self._cap_attributes("quotient rule", max_attributes)
-        bits = [[1 << j for j in iter_bits(block)] for block in self.quotient_masks]
-        return sorted(map(sum, product(*bits)), key=members_order(len(self.attributes)))
+        bits = self.attribute_ground.bits
+        choices = [[bit for bit in bits if bit & block] for block in self.quotient_masks]
+        return sorted(map(sum, product(*choices)), reverse=True)  # all of one size
 
     def reducts_via_quotient(self, *, max_attributes: int = 15) -> tuple[frozenset, ...]:
         """Frozenset form of :meth:`quotient_reduct_masks`, same order.
@@ -220,12 +223,13 @@ class InformationSystem:
         # per attribute, its class id in the low w bits.  Adding 2**w - 1 to
         # every field of u ^ v carries into the field's top bit iff rows u
         # and v differ on that attribute, and never into the next field.
-        w = max(map(max, self._columns)).bit_length()
+        columns = self._columns.values()
+        w = max(map(max, columns)).bit_length()
         step = w + 1
         low = sum(1 << (j * step) for j in range(m))
         fill, top = low * ((1 << w) - 1), low << w
         rows = list({
-            sum(c << (j * step) for j, c in enumerate(row)) for row in zip(*self._columns)
+            sum(c << (j * step) for j, c in enumerate(row)) for row in zip(*columns)
         })
         entries = {((u ^ v) + fill) & top for a, u in enumerate(rows) for v in rows[:a]}
         # supersets of another entry constrain nothing further
@@ -234,8 +238,9 @@ class InformationSystem:
             if all(k & ~entry for k in kept):
                 kept.append(entry)
         # top bit j * step + w stands for attribute j
+        bits = self.attribute_ground.bits
         return minimal_hitting_masks(
-            sum(1 << (b // step) for b in iter_bits(entry)) for entry in kept
+            sum(bits[b // step] for b in iter_bits(entry)) for entry in kept
         )
 
     def discernibility_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
@@ -246,14 +251,14 @@ class InformationSystem:
     def brute_force_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
         """Inclusion-minimal attribute subsets preserving the full partition.
 
-        Exhaustive 2**m scan in ascending subset size; supersets of an already
-        kept reduct are skipped.  The oracle for the quotient rule and for
+        Exhaustive 2**m scan in (size, attribute indices) order; supersets of
+        an already kept reduct are skipped.  The oracle for the quotient rule and for
         :meth:`discernibility_reducts`, guarded by ``max_attributes``.
         """
         m = self._cap_attributes("brute-force reduct scan", max_attributes)
-        full_key = self._partition_key_of_mask((1 << m) - 1)
+        full_key = self._partition_key_of_mask(self.attribute_ground.full_mask)
         kept: list[int] = []
-        for mask in sorted(sorted(range(1 << m), key=members_order(m)), key=int.bit_count):
+        for mask in sorted(range((1 << m) - 1, -1, -1), key=int.bit_count):
             if any(k & ~mask == 0 for k in kept):
                 continue
             if self._partition_key_of_mask(mask) == full_key:

@@ -9,14 +9,17 @@ Theory*, 1.6).  One breadth-first sweep over a matching, the alternating
 forest of Kuhn's method, gives the closure and the blocks visited, along which
 one walk back matches any element outside it.  One pass over the flats, rank
 by rank, yields their ranks and Hasse covers, each flat closed once.  All
-subset arithmetic runs on bitmasks with a stable element-to-bit numbering, so
-enumeration order is deterministic for a fixed ground order.
+subset arithmetic runs on bitmasks in which element i of an n-element
+ground is bit n - 1 - i, so for masks of one size ascending member tuples are
+descending ints: every canonical (size, members) order is a plain int sort.
+Only this module reads that numbering; other code takes bits from
+``GroundSet.bits`` and members from :func:`pick`.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import UnknownElementError
 
@@ -26,31 +29,38 @@ __all__ = [
     "TransversalMatroid",
     "iter_bits",
     "labels",
-    "members_order",
     "pick",
 ]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+    """Yield the set bit positions of ``mask``, highest first: in ground order."""
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        yield top
+        mask ^= 1 << top
 
 
 def pick(table: Sequence, mask: int) -> list:
-    """Entries of ``table`` at the set bits of ``mask``, lowest bit first."""
+    """Entries of ``table`` at the members of ``mask``, in table order.
+
+    Entry i stands at bit ``len(table) - 1 - i``, so the walk starts at the
+    top bit.  A negative mask, or one with bits at or above ``len(table)``,
+    shifts to nonzero and raises ``IndexError`` rather than wrap around.
+    """
+    n = len(table)
+    if mask >> n:
+        raise IndexError(f"mask outside a table of {n} entries")
     out = []
     while mask:
-        low = mask & -mask
-        out.append(table[low.bit_length() - 1])
-        mask ^= low
+        top = mask.bit_length()
+        out.append(table[n - top])
+        mask ^= 1 << (top - 1)
     return out
 
 
 def labels(table: Sequence[str], masks: Iterable[int]) -> list[str]:
-    """Each mask written as ``{a,b}`` from the entries of ``table`` at its bits.
+    """Each mask written as ``{a,b}`` from the entries of ``table`` at its members.
 
     One pass over ``masks``: :meth:`GroundSet.label` of each mask when
     ``table`` is the ground's ``texts``.
@@ -58,35 +68,17 @@ def labels(table: Sequence[str], masks: Iterable[int]) -> list[str]:
     return ["{" + ",".join(pick(table, mask)) + "}" for mask in masks]
 
 
-_REVERSED = [0]  # _REVERSED[b] is byte b with its bits in reverse order
-for _bit in (128, 64, 32, 16, 8, 4, 2, 1):
-    _REVERSED += [b | _bit for b in _REVERSED]
-_REVERSED = bytes(_REVERSED)
-del _bit
-
-
-def members_order(width: int) -> Callable[[int], int]:
-    """Sort key ordering an antichain of masks below ``2**width`` by members.
-
-    In an antichain no member tuple is a prefix of another, so ascending
-    member tuples are descending bit-reversed masks: one int, not a tuple.
-    Reversing whole bytes pads every mask to the same width, which keeps the
-    order.  Masks of one size form an antichain, so a second, stable sort of
-    mixed sizes by ``int.bit_count`` gives (size, members) order.
-    """
-    size = (width + 7) // 8
-    return lambda mask: -int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED), "big")
-
-
 class GroundSet:
     """Ordered universe of distinct elements with a stable bit numbering.
 
-    ``texts[i]`` is element ``i`` as printed, ``str(e)``; ``tokens[i]`` is
-    it as a JSON literal, for the string and integer elements that documents
-    hold.  Both are computed once, and every rendering reads them.
+    ``bits[i]`` is element ``i``'s one-bit mask, bit ``n - 1 - i``, so the
+    first element holds the top bit.  ``texts[i]`` is element ``i`` as
+    printed, ``str(e)``; ``tokens[i]`` is it as a JSON literal, for the
+    string and integer elements that documents hold.  All three are computed
+    once; masks are built from ``bits`` and rendered from the other two.
     """
 
-    __slots__ = ("elements", "full_mask", "texts", "tokens", "_index")
+    __slots__ = ("elements", "full_mask", "bits", "texts", "tokens", "_index")
 
     def __init__(self, elements: Iterable[Hashable]):
         elements = tuple(elements)
@@ -99,6 +91,7 @@ class GroundSet:
             index[element] = i
         self.elements = elements
         self.full_mask = (1 << len(elements)) - 1
+        self.bits = tuple(1 << i for i in range(len(elements) - 1, -1, -1))
         self.texts = tuple(map(str, elements))
         self.tokens = tuple(
             encode_basestring_ascii(e) if isinstance(e, str) else str(e) for e in elements
@@ -124,7 +117,7 @@ class GroundSet:
         """Bitmask of a subset given by element identifiers."""
         mask = 0
         for element in subset:
-            mask |= 1 << self.index_of(element)
+            mask |= self.bits[self.index_of(element)]
         return mask
 
     def refuse_outside(self, mask: int) -> None:
@@ -140,7 +133,7 @@ class GroundSet:
         """Members of ``mask`` in ground order."""
         try:
             return tuple(pick(self.elements, mask))
-        except IndexError:  # checked only on failure, so rendering pays nothing
+        except IndexError:  # pick refuses the mask; name its stray bit
             self.refuse_outside(mask)
 
     def label(self, mask: int) -> str:
@@ -204,7 +197,7 @@ class TransversalMatroid:
     ) -> tuple[int, list[int]]:
         """Closure of ``mask`` and the blocks swept, given a maximum matching of it.
 
-        ``owner`` gives each block's element index or -1, ``free`` the
+        ``owner`` gives each block's matched bit position or -1, ``free`` the
         blocks at -1 in ascending order and ``matched`` the matched elements.
         Breadth-first from the free blocks, a block is queued once its owner
         is reached; the closure adds every element the queue misses.
@@ -223,7 +216,7 @@ class TransversalMatroid:
         return mask | (self.ground.full_mask & ~reached), queue
 
     def _shift(self, i: int, owner: list[int], queue: list[int]) -> int:
-        """Match element ``i``, reached by the sweep that gave ``queue``.
+        """Match the element at bit ``i``, reached by the sweep that gave ``queue``.
 
         Each block's owner moves to the first block in ``queue`` holding it,
         queued earlier, so the walk ends at a free block, which is returned.
@@ -261,12 +254,13 @@ class TransversalMatroid:
         """All closed sets, sorted by (rank, member indices).
 
         The first call enumerates them rank by rank from the closure of the
-        empty set; a rank is an antichain, sorted by one int key.  A flat one
-        rank up covers a flat F iff it holds a basis of F, and the covers of
-        F partition the elements outside F (Oxley, *Matroid Theory*, 1.7).
-        So F takes the found covers holding its matched basis, and closes
-        each element e left into a new cover cl(F + e), its matching grown by
-        one walk back.  Each flat is closed once and listed by its covers.
+        empty set; a rank's flats are an antichain, listed by member indices
+        as descending ints.  A flat one rank up covers a flat F iff it holds
+        a basis of F, and the covers of F partition the elements outside F
+        (Oxley, *Matroid Theory*, 1.7).  So F takes the found covers holding
+        its matched basis, and closes each element e left into a new cover
+        cl(F + e), its matching grown by one walk back.  Each flat is closed
+        once and listed by its covers.
         """
         if self._flat_record is None:
             full = self.ground.full_mask
@@ -278,10 +272,10 @@ class TransversalMatroid:
             while level:
                 # the next rank's flats found so far, with their matchings and
                 # swept blocks; ``lowers[s]`` lists the lower flats of found
-                # flat s, and ``holders[i]`` masks the found flats holding element i
+                # flat s, and ``holders[i]`` masks the found flats holding bit i
                 above, found, lowers = {}, [], []
                 holders = [0] * len(self.ground)
-                for flat in sorted(level, key=members_order(len(self.ground))):
+                for flat in sorted(level, reverse=True):
                     owner, free, matched, queue, lower = level[flat]
                     here = len(masks)
                     for k in lower:
@@ -347,7 +341,7 @@ class TransversalMatroid:
         for block in sorted(self._blocks, key=int.bit_count):
             bits = [1 << i for i in iter_bits(block)]
             level = {s | bit for s in level for bit in bits if not s & bit}
-        return sorted(level, key=members_order(len(self.ground)))
+        return sorted(level, reverse=True)
 
     def closure_via_hyperplanes_mask(self, mask: int) -> int:
         self.ground.refuse_outside(mask)

@@ -676,8 +676,8 @@ def _infosys_text_reference(table, force_brute: bool) -> str:
     print("objects:", " ".join(map(str, table.objects)), file=out)
     print("attributes:", " ".join(map(str, table.attributes)), file=out)
     print("partitions:", file=out)
-    for j, a in enumerate(table.attributes):
-        print(f"  {a}:", " ".join(map(objects.label, table.partition_masks(1 << j))), file=out)
+    for a, bit in zip(table.attributes, attributes.bits):
+        print(f"  {a}:", " ".join(map(objects.label, table.partition_masks(bit))), file=out)
     print("attribute blocks:", " ".join(map(attributes.label, table.quotient_masks)), file=out)
     print("condition:", "holds" if condition else "fails", file=out)
     if not condition:

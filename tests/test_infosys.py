@@ -9,6 +9,7 @@ from latmat import (
     ConditionNotSatisfiedError,
     InformationSystem,
     UnknownAttributeError,
+    UnknownElementError,
 )
 from strategies import information_systems, saturated_systems
 
@@ -108,6 +109,14 @@ def test_indiscernibility_empty_attribute_set(weather_system):
 def test_indiscernibility_unknown_attribute(weather_system):
     with pytest.raises(UnknownAttributeError, match="wind"):
         weather_system.indiscernibility(["wind"])
+
+
+def test_partition_masks_refuse_bits_outside_the_attributes(weather_system):
+    # three attributes: a stray bit alone, beside attributes, or a negative mask
+    full = weather_system.attribute_ground.full_mask
+    for mask, bit in {0b1000: 3, 0b1000 | full: 3, 0b110000 | full: 4, -1: 3}.items():
+        with pytest.raises(UnknownElementError, match=f"'bit {bit}'"):
+            weather_system.partition_masks(mask)
 
 
 @given(information_systems())
@@ -286,8 +295,11 @@ def test_reducts_via_quotient_requires_condition():
 
 def test_quotient_rule_leaves_the_check_to_callers():
     # one attribute per block is {a, b, c}, which is no reduct here
-    assert CONDITION_COUNTEREXAMPLE.quotient_reduct_masks() == [0b111]
-    assert CONDITION_COUNTEREXAMPLE.discernibility_reduct_masks() == [0b011, 0b101, 0b110]
+    mask_of = CONDITION_COUNTEREXAMPLE.attribute_ground.mask_of
+    assert CONDITION_COUNTEREXAMPLE.quotient_reduct_masks() == [mask_of("abc")]
+    assert CONDITION_COUNTEREXAMPLE.discernibility_reduct_masks() == [
+        mask_of("ab"), mask_of("ac"), mask_of("bc")
+    ]
 
 
 @pytest.mark.parametrize(

@@ -199,9 +199,10 @@ def test_verify_geometric_chain():
 
 def test_verify_geometric_reports_non_atomic_chain():
     # the chain {} < {1} < {1,2} has one atom, which does not join to the top
+    ground = GroundSet((1, 2))
     lattice = GeometricLattice(
-        ground=GroundSet((1, 2)),
-        masks=(0b00, 0b01, 0b11),
+        ground=ground,
+        masks=tuple(map(ground.mask_of, [(), {1}, {1, 2}])),
         heights=(0, 1, 2),
         covers=((1,), (2,), ()),
     )
@@ -213,9 +214,12 @@ def test_verify_geometric_reports_non_atomic_chain():
 
 def test_verify_geometric_reports_non_semimodular_pair():
     # two disjoint lines under a height-3 top: {1} v {3} skips height 2
+    ground = GroundSet((1, 2, 3, 4))
     lattice = GeometricLattice(
-        ground=GroundSet((1, 2, 3, 4)),
-        masks=(0b0000, 0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b1100, 0b1111),
+        ground=ground,
+        masks=tuple(
+            map(ground.mask_of, [(), {1}, {2}, {3}, {4}, {1, 2}, {3, 4}, {1, 2, 3, 4}])
+        ),
         heights=(0, 1, 1, 1, 1, 2, 2, 3),
         covers=((1, 2, 3, 4), (5,), (5,), (6,), (6,), (7,), (7,), ()),
     )
@@ -228,9 +232,10 @@ def test_verify_geometric_reports_non_semimodular_pair():
 
 def test_masks_not_closed_under_meet_raise_not_a_flat():
     # {1,2} ^ {2,3} = {2} is not among the masks
+    ground = GroundSet((1, 2, 3))
     lattice = GeometricLattice(
-        ground=GroundSet((1, 2, 3)),
-        masks=(0b000, 0b011, 0b110, 0b111),
+        ground=ground,
+        masks=tuple(map(ground.mask_of, [(), {1, 2}, {2, 3}, {1, 2, 3}])),
         heights=(0, 1, 1, 2),
         covers=((1, 2), (3,), (3,), ()),
     )
@@ -242,9 +247,10 @@ def test_masks_not_closed_under_meet_raise_not_a_flat():
 
 def test_masks_not_closed_under_meet_give_no_join():
     # {1} v {2} is the meet of {1,2,3} and {1,2,4}, and {1,2} is no mask
+    ground = GroundSet((1, 2, 3, 4))
     lattice = GeometricLattice(
-        ground=GroundSet((1, 2, 3, 4)),
-        masks=(0b0000, 0b0001, 0b0010, 0b0111, 0b1011, 0b1111),
+        ground=ground,
+        masks=tuple(map(ground.mask_of, [(), {1}, {2}, {1, 2, 3}, {1, 2, 4}, {1, 2, 3, 4}])),
         heights=(0, 1, 1, 2, 2, 3),
         covers=((1, 2), (3, 4), (3, 4), (5,), (5,), ()),
     )

@@ -4,7 +4,6 @@ import os
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from latmat import (
@@ -16,8 +15,8 @@ from latmat import (
 )
 from latmat.cli import load_covering_document
 from latmat.dependence import minimal_hitting_masks
-from latmat.matroid import iter_bits, members_order
-from strategies import family_and_subsets, set_families
+from latmat.matroid import labels, pick
+from strategies import coverings, family_and_subsets, information_systems, set_families
 
 # ---------------------------------------------------------------------------
 # construction
@@ -67,27 +66,44 @@ def test_family_allows_duplicate_blocks():
 
 
 # ---------------------------------------------------------------------------
-# order key
+# canonical order
 
 
-@st.composite
-def widths_and_masks(draw):
-    width = draw(st.integers(1, 40))
-    masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30))
-    top = 1 << width - 1
-    return width, masks + [mask | top for mask in masks]
+def by_members(ground):
+    """Sort key reading each mask of ``ground`` as its member indices, not its bits."""
+    return lambda mask: tuple(map(ground.index_of, ground.members(mask)))
 
 
-@given(widths_and_masks())
-@settings(max_examples=200, deadline=None)
-def test_members_order_sorts_by_member_tuples(case):
-    width, masks = case
-    key = members_order(width)
-    for size in {mask.bit_count() for mask in masks}:
-        same = [mask for mask in masks if mask.bit_count() == size]
-        assert sorted(same, key=key) == sorted(same, key=lambda m: tuple(iter_bits(m)))
-    by_size = sorted(sorted(masks, key=key), key=int.bit_count)
-    assert by_size == sorted(masks, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+def by_size_and_members(ground):
+    members = by_members(ground)
+    return lambda mask: (mask.bit_count(), members(mask))
+
+
+@given(set_families(), coverings(), information_systems(max_copies=3))
+@settings(max_examples=100, deadline=None)
+def test_canonical_orders_follow_member_indices(family, covering, table):
+    """Each canonical list, sorted by a key that holds under any bit numbering.
+
+    The flats of one rank and the atoms are antichains, listed by member
+    indices; the other lists go by (size, member indices).
+    """
+    ground, matroid = family.ground, TransversalMatroid(family)
+    flats, ranks = matroid.flat_masks(), matroid.flat_ranks()
+    for rank in set(ranks):
+        level = [m for m, r in zip(flats, ranks) if r == rank]
+        assert level == sorted(level, key=by_members(ground))
+    atoms = list(map(covering.ground.mask_of, covering.atoms()))
+    assert atoms == sorted(atoms, key=by_members(covering.ground))
+    attributes = table.attribute_ground
+    lists = [
+        (ground, matroid.basis_masks()),
+        (ground, minimal_hitting_masks(family.block_masks)),
+        (attributes, table.quotient_reduct_masks()),
+        (attributes, table.discernibility_reduct_masks()),
+        (attributes, list(map(attributes.mask_of, table.brute_force_reducts()))),
+    ]
+    for owner, masks in lists:
+        assert masks == sorted(masks, key=by_size_and_members(owner))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +181,23 @@ def test_masks_outside_the_ground_are_refused():
         pair.ground.label,
         build_lattice(pair)._index,
     )
-    for query in queries:
-        with pytest.raises(UnknownElementError, match="^element 'bit 2' is not in the ground set$"):
-            query(0b100)
-    # the lowest stray bit is named, and in-ground masks still render
-    with pytest.raises(UnknownElementError, match="bit 3"):
-        pair.ground.label(0b1011)
+    # stray bits between n and 2n, alone or with members, and negative masks:
+    # each names its lowest bit outside the ground
+    strays = {0b100: 2, 0b1000: 3, 0b1101: 2, 0b1011: 3, -1: 2, -4: 2, -8: 3}
+    for mask, bit in strays.items():
+        for query in queries:
+            with pytest.raises(
+                UnknownElementError, match=f"^element 'bit {bit}' is not in the ground set$"
+            ):
+                query(mask)
+        # the table-level walks under GroundSet.members refuse them too
+        with pytest.raises(IndexError):
+            pick(pair.ground.elements, mask)
+        with pytest.raises(IndexError):
+            labels(pair.ground.texts, [0, mask])
+    # in-ground masks still render
     assert pair.ground.label(0b11) == "{a,b}"
+    assert labels(pair.ground.texts, [0, pair.ground.full_mask]) == ["{}", "{a,b}"]
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +530,11 @@ def test_flats_and_covers_match_matching_route(family):
 @settings(max_examples=100, deadline=None)
 def test_flats_ranks_and_covers_in_order(family):
     matroid = TransversalMatroid(family)
-    ranks = matroid.flat_ranks()
-    keys = [(r, tuple(iter_bits(m))) for m, r in zip(matroid.flat_masks(), ranks)]
+    ground, ranks = family.ground, matroid.flat_ranks()
+    keys = [
+        (r, tuple(map(ground.index_of, ground.members(m))))
+        for m, r in zip(matroid.flat_masks(), ranks)
+    ]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert ranks[0] == 0
     assert all(b - a in (0, 1) for a, b in zip(ranks, ranks[1:]))
