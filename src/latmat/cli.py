@@ -4,9 +4,12 @@ Coverings and families arrive as JSON documents with ``universe`` and
 ``blocks`` keys; information tables arrive as CSV with attribute names in the
 header row and object names in the first column.  All outputs are
 byte-deterministic for identical inputs.  Every output is rendered from
-masks through the token tables of ``GroundSet``, one pass per list of
-masks, and written with one ``sys.stdout.write``; ``--json`` documents go
-through one writer, :func:`to_json`.
+masks through the token tables of ``GroundSet`` and written with one
+``sys.stdout.write``; ``--json`` documents go through one writer,
+:func:`to_json`.  Each list of masks is joined by ``matroid.joined``: a
+list with at least as many members as two half tables of the ground's
+entries hold is read from those tables, two lookups a mask, and a shorter
+one walks each mask through ``matroid.pick``.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
@@ -21,12 +24,13 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Sequence
 
 from .covering import check_covering_equivalences, is_covering
 from .errors import CapacityError, DocumentError, LatmatError
 from .infosys import InformationSystem
 from .lattice import build_lattice
-from .matroid import GroundSet, SetFamily, TransversalMatroid, labels, pick
+from .matroid import GroundSet, SetFamily, TransversalMatroid, joined, labels, pick
 
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_ATTRIBUTES = 15
@@ -198,8 +202,9 @@ class IndexLists:
 def _member_lists(tokens, masks, pad: str) -> list[str]:
     """Each mask's members from ``tokens`` as a JSON list at indent ``pad``."""
     inner = pad + "  "
-    sep = "," + inner
-    return ["[" + inner + sep.join(pick(tokens, m)) + pad + "]" if m else "[]" for m in masks]
+    runs = joined(tokens, masks, "," + inner)
+    # no token is empty, so a run is empty only for the empty mask
+    return ["[" + inner + run + pad + "]" if run else "[]" for run in runs]
 
 
 def to_json(value, pad: str = "\n") -> str:
@@ -257,7 +262,7 @@ def to_json(value, pad: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def fmt_many(ground: GroundSet, masks) -> str:
+def fmt_many(ground: GroundSet, masks: Sequence[int]) -> str:
     return " ".join(labels(ground.texts, masks))
 
 

@@ -40,6 +40,8 @@ class DependenceSpace:
         self._key_of_mask = key_of_mask
 
     def key_of_mask(self, mask: int) -> Hashable:
+        """Key of the subset ``mask``; a mask with bits outside the ground is refused."""
+        self.ground.refuse_outside(mask)
         return self._key_of_mask(mask)
 
     def key(self, subset: Iterable) -> Hashable:

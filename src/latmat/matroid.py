@@ -13,7 +13,11 @@ subset arithmetic runs on bitmasks in which element i of an n-element
 ground is bit n - 1 - i, so for masks of one size ascending member tuples are
 descending ints: every canonical (size, members) order is a plain int sort.
 Only this module reads that numbering; other code takes bits from
-``GroundSet.bits`` and members from :func:`pick`.
+``GroundSet.bits`` and members from :func:`pick`.  A list of masks is
+rendered by :func:`joined` along one of two routes, chosen by the list
+alone: a list with fewer members than two half tables of the entries hold
+walks each mask through :func:`pick`; a longer one builds those tables and
+reads each mask from them with two lookups.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "SetFamily",
     "TransversalMatroid",
     "iter_bits",
+    "joined",
     "labels",
     "pick",
 ]
@@ -59,13 +64,48 @@ def pick(table: Sequence, mask: int) -> list:
     return out
 
 
-def labels(table: Sequence[str], masks: Iterable[int]) -> list[str]:
+def _runs(pieces: Sequence[str]) -> list[str]:
+    """At each mask over ``pieces``, its pieces concatenated in order.
+
+    The first piece stands at the top bit.  Built by doubling: each piece,
+    from the last, prefixes a copy of the runs so far, so the list holds
+    ``2 ** len(pieces)`` strings.
+    """
+    runs = [""]
+    for piece in reversed(pieces):
+        runs += [piece + run for run in runs]
+    return runs
+
+
+def joined(table: Sequence[str], masks: Sequence[int], sep: str) -> list[str]:
+    """``sep.join(pick(table, mask))`` for each mask of ``masks``.
+
+    For an n-entry table and h = n // 2, a list with at least as many
+    members as the 2**h + 2**(n - h) runs of two half tables is read from
+    them: each mask is ``high[mask >> h] + low[mask & (2**h - 1)]``, runs of
+    separator-prefixed entries, with the leading separator cut.  A shorter
+    list walks each mask through :func:`pick`.  Either way a negative mask,
+    or one with a bit at or above n, raises ``IndexError``.
+    """
+    n = len(table)
+    h = n // 2
+    if sum(map(int.bit_count, masks)) < (1 << h) + (1 << (n - h)):
+        return [sep.join(pick(table, mask)) for mask in masks]
+    if min(masks) < 0:  # mask >> h would index high from its end
+        raise IndexError(f"mask outside a table of {n} entries")
+    pieces = [sep + entry for entry in table]
+    high, low = _runs(pieces[: n - h]), _runs(pieces[n - h :])
+    cut, part = len(sep), (1 << h) - 1
+    return [(high[mask >> h] + low[mask & part])[cut:] for mask in masks]
+
+
+def labels(table: Sequence[str], masks: Sequence[int]) -> list[str]:
     """Each mask written as ``{a,b}`` from the entries of ``table`` at its members.
 
-    One pass over ``masks``: :meth:`GroundSet.label` of each mask when
-    ``table`` is the ground's ``texts``.
+    :meth:`GroundSet.label` of each mask when ``table`` is the ground's
+    ``texts``, joined by :func:`joined`.
     """
-    return ["{" + ",".join(pick(table, mask)) + "}" for mask in masks]
+    return ["{" + text + "}" for text in joined(table, masks, ",")]
 
 
 class GroundSet:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from latmat import (
@@ -12,10 +13,11 @@ from latmat import (
     TransversalMatroid,
     UnknownElementError,
     build_lattice,
+    matroid,
 )
 from latmat.cli import load_covering_document
-from latmat.dependence import minimal_hitting_masks
-from latmat.matroid import labels, pick
+from latmat.dependence import closure_space, minimal_hitting_masks, profile_space
+from latmat.matroid import joined, labels, pick
 from strategies import coverings, family_and_subsets, information_systems, set_families
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,11 @@ def test_masks_outside_the_ground_are_refused():
         pair.ground.subset_of,
         pair.ground.label,
         build_lattice(pair)._index,
+        closure_space(pair).key_of_mask,
+        profile_space(pair.ground, [{"a"}, {"b"}]).key_of_mask,
     )
+    # four members reach the 2**1 + 2**1 runs of the half tables for two entries
+    long = [pair.ground.full_mask] * 2
     # stray bits between n and 2n, alone or with members, and negative masks:
     # each names its lowest bit outside the ground
     strays = {0b100: 2, 0b1000: 3, 0b1101: 2, 0b1011: 3, -1: 2, -4: 2, -8: 3}
@@ -195,9 +201,77 @@ def test_masks_outside_the_ground_are_refused():
             pick(pair.ground.elements, mask)
         with pytest.raises(IndexError):
             labels(pair.ground.texts, [0, mask])
+        for masks in ([mask, *long], [*long, mask], [0, *long, mask, 0]):
+            with pytest.raises(IndexError):
+                labels(pair.ground.texts, masks)
+            with pytest.raises(IndexError):
+                joined(pair.ground.tokens, masks, ",\n      ")
     # in-ground masks still render
     assert pair.ground.label(0b11) == "{a,b}"
     assert labels(pair.ground.texts, [0, pair.ground.full_mask]) == ["{}", "{a,b}"]
+    assert labels(pair.ground.texts, [0, *long, 1, 2]) == ["{}", "{a,b}", "{a,b}", "{b}", "{a}"]
+
+
+@st.composite
+def tables_and_mask_lists(draw):
+    """An entry table of 1-40 texts and up to 300 masks over it, empty and full ones included."""
+    table = draw(st.lists(st.text("ab,\n ", max_size=3), min_size=1, max_size=40))
+    full = (1 << len(table)) - 1
+    mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    masks = draw(st.lists(mask, max_size=draw(st.sampled_from((8, 300)))))
+    return table, masks
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The length of each half table that ``joined`` builds, in build order."""
+    lengths = []
+    real_runs = matroid._runs
+
+    def runs(pieces):
+        out = real_runs(pieces)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(matroid, "_runs", runs)
+    return lengths
+
+
+def test_joined_routes_match_the_walk(built):
+    routes = set()
+
+    @given(tables_and_mask_lists(), st.sampled_from((",", ",\n      ")))
+    @settings(max_examples=300, deadline=None)
+    def check(case, sep):
+        table, masks = case
+        built.clear()
+        assert joined(table, masks, sep) == [sep.join(pick(table, mask)) for mask in masks]
+        # the half tables are built at most once per list, and never past its members
+        assert sum(built) <= sum(map(int.bit_count, masks))
+        routes.add(bool(built))
+        if sep == ",":
+            assert labels(table, masks) == ["{" + ",".join(pick(table, m)) + "}" for m in masks]
+
+    check()
+    assert routes == {False, True}
+
+
+def test_joined_builds_tables_only_for_lists_with_as_many_members(built):
+    # three blocks partitioning 64 entries, like an object partition of a table
+    wide = [str(i) for i in range(64)]
+    blocks = [(1 << 64) - (1 << 40), (1 << 40) - (1 << 10), (1 << 10) - 1]
+    assert labels(wide, blocks) == ["{" + ",".join(pick(wide, m)) + "}" for m in blocks]
+    assert built == []
+    # every 3-subset of 12 entries: 660 members against 2**6 + 2**6 runs
+    table = [chr(ord("a") + i) for i in range(12)]
+    masks = [m for m in range(1 << 12) if m.bit_count() == 3]
+    assert labels(table, masks) == ["{" + ",".join(pick(table, m)) + "}" for m in masks]
+    assert built == [64, 64]
+    # 127 members, one fewer than the runs, walk the list
+    built.clear()
+    short = [0b111] * 42 + [0b1]
+    assert joined(table, short, ",") == [",".join(pick(table, m)) for m in short]
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
