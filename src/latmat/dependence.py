@@ -107,53 +107,38 @@ def minimal_hitting_sets(
 def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
     """All inclusion-minimal masks meeting every target mask.
 
-    Depth-first branching on the unmet target with fewest remaining options
-    (MMCS, Murakami & Uno 2014).  The options are tried lowest bit first,
-    and each option's branch bans the lower bits, so no hitter is generated
-    twice.  A leaf is kept only when each chosen element is the sole chosen
-    member of some target; that drops the non-minimal strays the branching
-    can reach.  Output is sorted by (size, member indices), which under the
-    ground's bit numbering is size, then descending int.  With no targets
-    the empty mask is the unique answer.
+    Berge's method (*Hypergraphs*, 1989): the minimal hitters are grown
+    target by target, smallest targets first, from the empty mask.  For a
+    target t the hitters meeting t are kept, and every other hitter h is
+    grown by each bit b of t, unless a kept hitter meets t in b alone and
+    its other bits lie inside h.  That one-bit test is exact, since h misses
+    t and the hitters so far form an antichain, so no two grown masks
+    coincide or nest.  Output is sorted by (size, member indices), which
+    under the ground's bit numbering is size, then descending int.  With no
+    targets the empty mask is the unique answer.
     """
-    target_masks = sorted(set(target_masks))
-    if target_masks and target_masks[0] == 0:
+    targets = sorted(set(target_masks), key=int.bit_count)
+    if targets and targets[0] == 0:
         raise EmptyTargetError("an empty target set cannot be hit")
-    if not target_masks:
-        return [0]
-
-    found: list[int] = []
-
-    def keep_if_minimal(chosen: int) -> None:
-        private = 0
-        for t in target_masks:
-            hit = t & chosen
-            if hit & (hit - 1) == 0:
-                private |= hit
-        if private == chosen:
-            found.append(chosen)
-
-    # an explicit stack, so the depth is not bounded by the recursion limit;
-    # a frame holds its parent's pending targets and the bit it adds to them
-    stack = [(0, 0, 0, target_masks)]
-    while stack:
-        chosen, banned, bit, pending = stack.pop()
-        pending = [t for t in pending if not t & bit]
-        common = -1
-        for t in pending:
-            common &= t
-        options = min((t & ~banned for t in pending), key=int.bit_count)
-        # an element of every pending target completes a hitter at once
-        while options:
-            bit = options & -options
-            options ^= bit
-            if bit & common:
-                keep_if_minimal(chosen | bit)
-            else:
-                stack.append((chosen | bit, banned, bit, pending))
-            banned |= bit
-
-    found.sort(reverse=True)
+    hitters = {0}
+    for t in targets:
+        # the hitters missing t; the rest of each one meeting t in one bit, by bit
+        missed: list[int] = []
+        rests: dict[int, list[int]] = {}
+        for h in hitters:
+            hit = h & t
+            if not hit:
+                missed.append(h)
+            elif not hit & (hit - 1):
+                rests.setdefault(hit, []).append(h ^ hit)
+        hitters.difference_update(missed)
+        bits = t
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            rest = rests.get(bit)
+            hitters.update([h | bit for h in missed if not rest or all(r & ~h for r in rest)])
+    found = sorted(hitters, reverse=True)
     found.sort(key=int.bit_count)
     return found
 

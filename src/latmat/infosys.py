@@ -4,18 +4,18 @@ Objects are partitioned by agreement on attribute subsets; a reduct is a
 minimal subset inducing the same partition as the full attribute set.  When
 attribute subsets with equal partitions always saturate to the same blocks
 of the attribute quotient (attributes grouped by equal single-attribute
-partitions), the reducts are exactly the one-element-per-block selections.
-That condition is decided from k + 1 partition keys, k being the number of
-quotient blocks.  In general the reducts are the minimal hitting sets of the
-discernibility matrix (Skowron & Rauszer, 1992): one mask per pair of
-distinct rows, marking the attributes on which the two rows differ.  A
-guarded power-set scan survives as the oracle for both routes.
+partitions), the reducts are exactly the minimal hitting sets of the
+quotient blocks, one attribute from each.  That condition is decided from
+k + 1 partition keys, k being the number of quotient blocks.  In general
+the reducts are the minimal hitting sets of the discernibility matrix
+(Skowron & Rauszer, 1992): one mask per pair of distinct rows, marking the
+attributes on which the two rows differ.  Both routes run the hitting-set
+search of :mod:`latmat.dependence`; a guarded power-set scan is their oracle.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from typing import Iterable
 
 from .dependence import minimal_hitting_masks
@@ -184,16 +184,16 @@ class InformationSystem:
     # reducts ----------------------------------------------------------------
 
     def quotient_reduct_masks(self, *, max_attributes: int = 15) -> list[int]:
-        """One attribute from each quotient block; every selection is a reduct.
+        """Minimal hitting sets of the quotient blocks: the quotient rule.
 
-        Valid only when :meth:`check_saturation_condition` holds, which callers
-        check first; the number of reducts is the product of the block sizes.
-        Output sorted by (size, attribute indices).
+        The blocks are disjoint, so the hitters are the selections of one
+        attribute from each block, and their number is the product of the
+        block sizes.  Valid only when :meth:`check_saturation_condition`
+        holds, which callers check first.  Output sorted by (size, attribute
+        indices).
         """
         self._cap_attributes("quotient rule", max_attributes)
-        bits = self.attribute_ground.bits
-        choices = [[bit for bit in bits if bit & block] for block in self.quotient_masks]
-        return sorted(map(sum, product(*choices)), reverse=True)  # all of one size
+        return minimal_hitting_masks(self.quotient_masks)
 
     def reducts_via_quotient(self, *, max_attributes: int = 15) -> tuple[frozenset, ...]:
         """Frozenset form of :meth:`quotient_reduct_masks`, same order.
@@ -232,7 +232,8 @@ class InformationSystem:
             sum(c << (j * step) for j, c in enumerate(row)) for row in zip(*columns)
         })
         entries = {((u ^ v) + fill) & top for a, u in enumerate(rows) for v in rows[:a]}
-        # supersets of another entry constrain nothing further
+        # supersets of another entry constrain nothing further; the search
+        # would absorb them, but dropping them spares them the mapping below
         kept: list[int] = []
         for entry in sorted(entries, key=int.bit_count):
             if all(k & ~entry for k in kept):

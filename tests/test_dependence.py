@@ -181,7 +181,8 @@ def test_hitting_sets_empty_target_rejected():
 
 
 def test_hitting_sets_drop_branching_stray():
-    """The branching reaches {2, 3, 6} here, a superset of the answer {3, 6}."""
+    """Growing the hitters here yields supersets of kept ones, such as
+    {0, 3, 4} or {0, 2, 3} beside {0, 3}; the one-bit rule drops them."""
     ground = GroundSet(tuple(range(7)))
     targets = [{0, 1, 2, 3, 4}, {0, 4, 6}, {3}, {0, 2, 6}]
     assert minimal_hitting_sets(ground, targets) == (
@@ -192,10 +193,54 @@ def test_hitting_sets_drop_branching_stray():
 
 
 def test_hitting_sets_deeper_than_recursion_limit():
-    """One singleton target per element: the search chooses 1,100 elements deep."""
+    """One singleton target per element: the one hitter grows 1,100 times, a bit each."""
     ground = GroundSet(tuple(range(1100)))
     targets = [{i} for i in range(1100)]
     assert minimal_hitting_sets(ground, targets) == (frozenset(range(1100)),)
+
+
+def test_hitting_sets_drop_a_hitter_holding_a_kept_one():
+    """{1, 2} meets the last target in 2 alone, and its rest {1} lies inside
+    {1, 3}, which misses that target: {1, 2, 3} is dropped, {2, 3, 5} too."""
+    ground = GroundSet(tuple(range(6)))
+    targets = [{1, 5}, {2, 3}, {0, 2, 4}]
+    assert minimal_hitting_sets(ground, targets) == tuple(map(frozenset, (
+        {1, 2}, {2, 5}, {0, 1, 3}, {0, 3, 5}, {1, 3, 4}, {3, 4, 5},
+    )))
+
+
+def test_hitting_sets_keep_a_hitter_beside_a_two_bit_kept_one():
+    """{2, 3} meets the last target in two bits, so growing {1}, which misses
+    it, by 2 or 3 gives {1, 2} and {1, 3}: they hold no kept hitter and stay."""
+    ground = GroundSet(tuple(range(4)))
+    targets = [{1, 2}, {1, 3}, {0, 2, 3}]
+    assert minimal_hitting_sets(ground, targets) == tuple(map(frozenset, (
+        {0, 1}, {1, 2}, {1, 3}, {2, 3},
+    )))
+
+
+@st.composite
+def target_lists(draw):
+    """Width and up to 12 nonempty targets, with copies and supersets of some."""
+    width = draw(st.integers(1, 8))
+    masks = st.integers(1, (1 << width) - 1)
+    targets = draw(st.lists(masks, max_size=8))
+    if targets:
+        extra = st.tuples(st.sampled_from(targets), st.integers(0, (1 << width) - 1))
+        # an extra of 0 copies its target, any other grows it into a superset
+        targets += [t | more for t, more in draw(st.lists(extra, max_size=4))]
+    return width, targets
+
+
+@given(target_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_many_hitting_targets_match_scan(drawn, rng):
+    width, targets = drawn
+    masks = minimal_hitting_masks(targets)
+    expected = oracles.minimal_hitting_masks(width, targets)
+    assert masks == sorted(expected, key=members_key(GroundSet(range(width))))
+    rng.shuffle(targets)
+    assert minimal_hitting_masks(targets) == masks
 
 
 @given(set_families(max_elements=6, max_blocks=5))
