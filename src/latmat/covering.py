@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import NotACoveringError, NotAFlatError
-from .matroid import SetFamily, TransversalMatroid
+from .matroid import SetFamily, TransversalMatroid, residue_masks
 
 __all__ = [
     "Covering",
@@ -77,20 +77,9 @@ class Covering:
             for element, mask in zip(self.ground.elements, self._singleton_closure_masks)
         }
 
-    def _residue_masks(self) -> tuple[list[int], int]:
-        """Nonempty block residues in block order, and the shared elements.
-
-        Nonempty residues are disjoint, hence distinct; repeated blocks have none.
-        """
-        once = shared = 0
-        for mask in self.family.block_masks:
-            shared |= once & mask
-            once |= mask
-        return [m & ~shared for m in self.family.block_masks if m & ~shared], shared
-
     def residue_split(self) -> ResidueSplit:
         """Residue of each block (the block minus all others) plus the rest."""
-        residues, shared = self._residue_masks()
+        residues, shared = residue_masks(self.family.block_masks)
         return ResidueSplit(
             residues=tuple(self.ground.subset_of(r) for r in residues),
             shared=self.ground.subset_of(shared),
@@ -103,7 +92,7 @@ class Covering:
         no matroid computation is involved.  Agrees with the lattice atoms
         and with the image of :attr:`singleton_closures`.
         """
-        masks, shared = self._residue_masks()
+        masks, shared = residue_masks(self.family.block_masks)
         masks.extend(bit for bit in self.ground.bits if bit & shared)
         masks.sort(reverse=True)  # atoms are disjoint, so ints give member order
         return tuple(self.ground.subset_of(m) for m in masks)

@@ -7,21 +7,19 @@ maximum bipartite matching size, taken over the r blocks that one maximum
 matching of the ground uses: they present the same matroid (Oxley, *Matroid
 Theory*, 1.6).  One breadth-first sweep over a matching, the alternating
 forest of Kuhn's method, gives the closure and the blocks visited, along which
-one walk back matches any element outside it.  One pass over the flats, rank
-by rank, yields their ranks and Hasse covers, each flat closed once.  All
-subset arithmetic runs on bitmasks in which element i of an n-element
-ground is bit n - 1 - i, so for masks of one size ascending member tuples are
-descending ints: every canonical (size, members) order is a plain int sort.
-Only this module reads that numbering; other code takes bits from
-``GroundSet.bits`` and members from :func:`pick`.  A list of masks is
-rendered by :func:`joined` along one of two routes, chosen by the list
-alone: a list with fewer members than two half tables of the entries hold
-walks each mask through :func:`pick`; a longer one builds those tables and
-reads each mask from them with two lookups.
+one walk back matches any element outside it.  The flats are the loops plus
+sets of atoms, read with their ranks and Hasse covers off bit vectors indexed
+by atom sets.  All subset arithmetic runs on bitmasks in which element i of
+an n-element ground is bit n - 1 - i, so for masks of one size ascending
+member tuples are descending ints: every canonical (size, members) order is
+a plain int sort.  Only this module reads that numbering; other code takes
+bits from ``GroundSet.bits``, and members from :func:`pick` or, for a list
+of masks, :func:`joined`.
 """
 
 from __future__ import annotations
 
+import re
 from json.encoder import encode_basestring_ascii
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -35,6 +33,7 @@ __all__ = [
     "joined",
     "labels",
     "pick",
+    "residue_masks",
 ]
 
 
@@ -84,12 +83,14 @@ def joined(table: Sequence[str], masks: Sequence[int], sep: str) -> list[str]:
     members as the 2**h + 2**(n - h) runs of two half tables is read from
     them: each mask is ``high[mask >> h] + low[mask & (2**h - 1)]``, runs of
     separator-prefixed entries, with the leading separator cut.  A shorter
-    list walks each mask through :func:`pick`.  Either way a negative mask,
+    list walks each mask through :func:`pick`, uncounted when its length
+    times n falls short.  Either way a negative mask,
     or one with a bit at or above n, raises ``IndexError``.
     """
     n = len(table)
     h = n // 2
-    if sum(map(int.bit_count, masks)) < (1 << h) + (1 << (n - h)):
+    runs = (1 << h) + (1 << (n - h))
+    if len(masks) * n < runs or sum(map(int.bit_count, masks)) < runs:
         return [sep.join(pick(table, mask)) for mask in masks]
     if min(masks) < 0:  # mask >> h would index high from its end
         raise IndexError(f"mask outside a table of {n} entries")
@@ -106,6 +107,20 @@ def labels(table: Sequence[str], masks: Sequence[int]) -> list[str]:
     ``texts``, joined by :func:`joined`.
     """
     return ["{" + text + "}" for text in joined(table, masks, ",")]
+
+
+def residue_masks(blocks: Sequence[int]) -> tuple[list[int], int]:
+    """The nonempty residues of ``blocks``, in block order, and the shared elements.
+
+    A block's residue is its elements in no other block; nonempty residues
+    are disjoint, hence distinct, and repeated blocks have none.  The shared
+    elements lie in two or more blocks.
+    """
+    once = shared = 0
+    for mask in blocks:
+        shared |= once & mask
+        once |= mask
+    return [m & ~shared for m in blocks if m & ~shared], shared
 
 
 class GroundSet:
@@ -216,14 +231,16 @@ class TransversalMatroid:
     the presentation every later sweep runs over, and ``family`` stays as
     given.  A sweep over a matching reaches the free-reaching blocks, those
     unmatched or owned by an element of one; the closure adds every element
-    they miss, and each element they hold is matched by one walk back.
-    The first :meth:`flat_masks` call enumerates the flats with their ranks
-    and Hasse covers; apart from that record, instances are immutable.
+    they miss, and each element they hold is matched by one walk back.  The
+    flats cost r + p vectors of 2**p bits for p <= n atoms, computed once: at
+    most 8 KB each on 16 elements, but wider low-rank matroids pay for all
+    2**p atom sets however few their flats.
     """
 
     def __init__(self, family: SetFamily):
         self.family = family
         self.ground = family.ground
+        self._vectors: tuple | None = None  # the record of _flat_vectors
         self._flat_record: tuple | None = None  # (masks, ranks, covers)
         self._blocks = family.block_masks  # until the ground's matching picks r of them
         owner = self._matching(self.ground.full_mask)[0]
@@ -232,10 +249,8 @@ class TransversalMatroid:
 
     # mask-level core --------------------------------------------------
 
-    def _closed(
-        self, mask: int, owner: list[int], free: list[int], matched: int
-    ) -> tuple[int, list[int]]:
-        """Closure of ``mask`` and the blocks swept, given a maximum matching of it.
+    def _closed(self, owner: list[int], free: list[int], matched: int) -> tuple[int, list[int]]:
+        """The elements a set's closure adds, and the blocks swept, given its maximum matching.
 
         ``owner`` gives each block's matched bit position or -1, ``free`` the
         blocks at -1 in ascending order and ``matched`` the matched elements.
@@ -253,7 +268,7 @@ class TransversalMatroid:
                 low = new & -new
                 queue.append(owner.index(low.bit_length() - 1))  # the block it owns
                 new ^= low
-        return mask | (self.ground.full_mask & ~reached), queue
+        return self.ground.full_mask & ~reached, queue
 
     def _shift(self, i: int, owner: list[int], queue: list[int]) -> int:
         """Match the element at bit ``i``, reached by the sweep that gave ``queue``.
@@ -278,7 +293,7 @@ class TransversalMatroid:
         owner = [-1] * len(self._blocks)
         free, matched = list(range(len(self._blocks))), 0
         for i in iter_bits(mask):
-            closure, queue = self._closed(0, owner, free, matched)
+            closure, queue = self._closed(owner, free, matched)
             if not closure >> i & 1:
                 free.remove(self._shift(i, owner, queue))
                 matched |= 1 << i
@@ -288,72 +303,92 @@ class TransversalMatroid:
         return self._matching(mask)[2].bit_count()
 
     def closure_mask(self, mask: int) -> int:
-        return self._closed(mask, *self._matching(mask))[0]
+        return mask | self._closed(*self._matching(mask))[0]
+
+    def _flat_vectors(self) -> tuple:
+        """The p atoms, ascending, per rank the vector of its flats, and two tables.
+
+        Over the presented blocks, the elements whose only block is j form
+        one atom and an element in two or more is an atom alone.  Atom a is
+        the a-th by top element, so atom sets compare as the flats they span.
+        Bit S of a vector of 2**p bits stands for atom set S: the independent
+        sets grow by size, one block at a time, each size up-closes into the
+        sets of at least that rank, and a set of rank k is a flat iff no atom
+        added to it keeps rank k.  The flat of S, loops included, is
+        ``high[S >> p // 2] | low[S & (2 ** (p // 2) - 1)]``.
+        """
+        if self._vectors is None:
+            residues, shared = residue_masks(self._blocks)
+            atoms = sorted(residues + [1 << i for i in iter_bits(shared)])
+            lacks = []  # lacks[a]: the sets without atom a
+            for a in range(len(atoms)):
+                lacks = [m | m << (1 << a) for m in lacks] + [(1 << (1 << a)) - 1]
+            ind = [1] + [0] * self.ground_rank  # ind[k]: the independent k-sets
+            for done, block in enumerate(self._blocks):
+                held = [a for a, atom in enumerate(atoms) if atom & block]
+                for k in range(done + 1, 0, -1):
+                    for a in held:
+                        ind[k] |= (ind[k - 1] & lacks[a]) << (1 << a)
+            levels, above = [], 0
+            for vector in reversed(ind):
+                for a, lack in enumerate(lacks):  # the sets of this rank or more
+                    vector |= (vector & lack) << (1 << a)
+                exact, above, kept = vector & ~above, vector, 0
+                for a, lack in enumerate(lacks):
+                    kept |= exact >> (1 << a) & lack
+                levels.insert(0, exact & ~kept)
+            h = len(atoms) // 2
+            low, high = [self.ground.full_mask & ~sum(atoms)], [0]
+            for table, half in ((low, atoms[:h]), (high, atoms[h:])):
+                for atom in half:
+                    table += [*map(atom.__or__, table)]
+            self._vectors = atoms, levels, high, low
+        return self._vectors
+
+    def _flat_sets(self, rank: int) -> tuple[list[int], list[int]]:
+        """The atom sets of the flats of ``rank``, descending, and the flats."""
+        atoms, levels, high, low = self._flat_vectors()
+        digits = bin(levels[rank])
+        top, h = len(digits) - 1, len(atoms) // 2
+        sets = [top - one.start() for one in re.finditer("1", digits)]
+        part = (1 << h) - 1
+        return sets, [high[s >> h] | low[s & part] for s in sets]
 
     def flat_masks(self) -> tuple[int, ...]:
         """All closed sets, sorted by (rank, member indices).
 
-        The first call enumerates them rank by rank from the closure of the
-        empty set; a rank's flats are an antichain, listed by member indices
-        as descending ints.  A flat one rank up covers a flat F iff it holds
-        a basis of F, and the covers of F partition the elements outside F
-        (Oxley, *Matroid Theory*, 1.7).  So F takes the found covers holding
-        its matched basis, and closes each element e left into a new cover
-        cl(F + e), its matching grown by one walk back.  Each flat is closed
-        once and listed by its covers.
+        Each flat is the loops and a set of atoms (Oxley, *Matroid Theory*,
+        1.7), and a rank's flats are listed by member indices as descending
+        ints.  A flat one rank up covers a flat F iff it holds F's atoms, so
+        F's covers are the AND over its atoms of the flats above holding
+        each, read from two half tables of ANDs.
         """
         if self._flat_record is None:
-            full = self.ground.full_mask
-            empty = self._matching(0)
-            loops, queue = self._closed(0, *empty)
-            level = {loops: (*empty, queue, [])}
+            p = len(self._flat_vectors()[0])
+            h, part = p // 2, (1 << p // 2) - 1
             masks, ranks, covers = [], [], []
-            rank = 0
-            while level:
-                # the next rank's flats found so far, with their matchings and
-                # swept blocks; ``lowers[s]`` lists the lower flats of found
-                # flat s, and ``holders[i]`` masks the found flats holding bit i
-                above, found, lowers = {}, [], []
-                holders = [0] * len(self.ground)
-                for flat in sorted(level, reverse=True):
-                    owner, free, matched, queue, lower = level[flat]
-                    here = len(masks)
-                    for k in lower:
-                        covers[k].append(here)
-                    masks.append(flat)
-                    ranks.append(rank)
-                    covers.append([])
-                    rest = full & ~flat
-                    # a found flat holding flat's matched basis holds flat, so covers it
-                    held = (1 << len(found)) - 1
-                    basis = matched
-                    while basis:
-                        low = basis & -basis
-                        held &= holders[low.bit_length() - 1]
-                        basis ^= low
-                    while held:
-                        low = held & -held
-                        s = low.bit_length() - 1
-                        lowers[s].append(here)
-                        rest &= ~found[s]
-                        held ^= low
-                    while rest:
-                        bit = rest & -rest
-                        grown, left = owner.copy(), free.copy()
-                        left.remove(self._shift(bit.bit_length() - 1, grown, queue))
-                        cover, reach = self._closed(flat | bit, grown, left, matched | bit)
-                        rest &= ~cover
-                        slot = 1 << len(found)
-                        found.append(cover)
-                        lowers.append([here])
-                        above[cover] = grown, left, matched | bit, reach, lowers[-1]
-                        new = cover & ~loops
-                        while new:
-                            low = new & -new
-                            holders[low.bit_length() - 1] |= slot
-                            new ^= low
-                level, rank = above, rank + 1
-            self._flat_record = (tuple(masks), tuple(ranks), tuple(map(tuple, covers)))
+            for rank in range(self.ground_rank + 1):
+                sets, flats = self._flat_sets(rank)
+                if rank:  # columns[a]: bit j set iff the j-th set here holds atom a
+                    rows = [f"{s:0{p}b}" for s in reversed(sets)]
+                    columns = [int("".join(c), 2) for c in zip(*rows)][::-1]
+                    over, under = [(1 << len(sets)) - 1], [-1]
+                    for table, half in ((under, columns[:h]), (over, columns[h:])):
+                        for column in half:
+                            table += [*map(column.__and__, table)]
+                    base = len(masks) - 1
+                    for s in below:
+                        ups, out = over[s >> h] & under[s & part], []
+                        while ups:
+                            bit = ups & -ups
+                            out.append(base + bit.bit_length())
+                            ups ^= bit
+                        covers.append(tuple(out))
+                masks += flats
+                ranks += [rank] * len(flats)
+                below = sets
+            covers.append(())  # the top
+            self._flat_record = (tuple(masks), tuple(ranks), tuple(covers))
         return self._flat_record[0]
 
     def flat_ranks(self) -> tuple[int, ...]:
@@ -367,8 +402,8 @@ class TransversalMatroid:
         return self._flat_record[2]
 
     def hyperplane_masks(self) -> tuple[int, ...]:
-        want = self.ground_rank - 1
-        return tuple(m for m, r in zip(self.flat_masks(), self.flat_ranks()) if r == want)
+        """The flats of rank r - 1, in :meth:`flat_masks` order; no covers are built."""
+        return tuple(self._flat_sets(self.ground_rank - 1)[1])
 
     def basis_masks(self) -> list[int]:
         """All bases, sorted by member indices.

@@ -4,6 +4,9 @@ The benchmark pool holds no document like ``data/labels.json``, whose
 element texts carry commas and quotes, so these digests pin the bytes the
 pool does not reach.  They were recorded before element i moved to bit
 n - 1 - i, and they must not change with the bit numbering.
+``data/wide-rank3.json`` (U(3, 16)) was recorded before the flats came from
+vectors over atom sets: it has the fewest flats per atom that 16 elements
+allow, where that route costs most.
 """
 
 import hashlib
@@ -91,6 +94,15 @@ EXPECTED = {
     ),
     "reducts data/uniform-8-16.json --json": (
         "c228915e3ea552936889b3df48d78dc282a5bb41b7903a317f0e799d3b51bb98", 0
+    ),
+    "lattice data/wide-rank3.json": (
+        "6e629372d04f7aa312e63f049b9cfaea09851961966aa44facc9055c663cee09", 0
+    ),
+    "lattice data/wide-rank3.json --json": (
+        "109e530d23e91a2c17d48af809cb0c836e446babc30253b99802bb140e5c0b3a", 0
+    ),
+    "reducts data/wide-rank3.json": (
+        "12caf4b64dedc50a79bd1565a2d7d73c30b01cd400012364f3ef7072abf62b85", 0
     ),
     "infosys data/weather.csv": (
         "312097c624c2dd251c77dccfd4454819e77b3716bd3b359989d5a2b5c9d01ecb", 0

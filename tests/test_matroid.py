@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 import oracles
 from latmat import (
+    Covering,
     GroundSet,
     SetFamily,
     TransversalMatroid,
     UnknownElementError,
     build_lattice,
+    is_covering,
     matroid,
 )
 from latmat.cli import load_covering_document
@@ -530,7 +532,7 @@ def test_bases_match_hitting_sets_and_oracle(family):
 # flat enumeration: work and covers
 
 
-FAMILIES_TO_COUNT = {
+NAMED_FAMILIES = {
     "five-point-covering": ((1, 2, 3, 4, 5), ({1, 3}, {2, 3}, {3, 4, 5})),
     # elements 5 and 6 lie in no block; block {1, 2} appears twice
     "loops-and-repeated-block": ((1, 2, 3, 4, 5, 6), ({1, 2}, {1, 2}, {2, 3, 4})),
@@ -539,22 +541,23 @@ FAMILIES_TO_COUNT = {
 
 
 @pytest.mark.parametrize(
-    "elements, blocks", FAMILIES_TO_COUNT.values(), ids=FAMILIES_TO_COUNT.keys()
+    "elements, blocks", NAMED_FAMILIES.values(), ids=NAMED_FAMILIES.keys()
 )
-def test_flat_enumeration_closes_each_flat_once(elements, blocks, monkeypatch):
+def test_flat_enumeration_runs_no_sweep(elements, blocks, monkeypatch):
+    # the flats come from rank vectors over atom sets, so no closure sweep runs
     family = SetFamily(GroundSet(elements), tuple(map(frozenset, blocks)))
     matroid = TransversalMatroid(family)
-    closed = matroid._closed
-    calls = []
+    ranks = oracles.rank_table(family)
+    flats = sorted(oracles.flat_masks(family), key=lambda f: (ranks[f], -f))
+    hyperplanes = [f for f in flats if ranks[f] == matroid.ground_rank - 1]
 
-    def counting(mask, *state):
-        calls.append(mask)
-        return closed(mask, *state)
+    def refuse(*state):
+        raise AssertionError("a closure sweep ran")
 
-    monkeypatch.setattr(matroid, "_closed", counting)
-    flats = matroid.flat_masks()
-    # one closure for the bottom flat, then one per flat above it
-    assert len(calls) == len(flats)
+    monkeypatch.setattr(matroid, "_closed", refuse)
+    assert matroid.hyperplane_masks() == tuple(hyperplanes)
+    assert matroid.flat_masks() == tuple(flats)
+    assert matroid.flat_ranks() == tuple(ranks[f] for f in flats)
 
 
 def test_sweeps_queue_at_most_rank_blocks(monkeypatch):
@@ -567,15 +570,48 @@ def test_sweeps_queue_at_most_rank_blocks(monkeypatch):
     closed = matroid._closed
     queued = []
 
-    def recording(mask, *state):
-        closure, queue = closed(mask, *state)
+    def recording(*state):
+        closure, queue = closed(*state)
         queued.append(len(queue))
         return closure, queue
 
     monkeypatch.setattr(matroid, "_closed", recording)
-    assert len(matroid.flat_masks()) == 512
+    rank_of = dict(zip(matroid.flat_masks(), matroid.flat_ranks()))
+    assert len(rank_of) == 512 and not queued  # the flats sweep nothing
+    for mask in range(1 << len(family.ground)):  # 12 elements
+        assert rank_of[matroid.closure_mask(mask)] == matroid.rank_mask(mask)
     assert len(matroid.basis_masks()) == 4
     assert queued and max(queued) <= matroid.ground_rank
+
+
+@st.composite
+def families_with_loops_and_copies(draw):
+    """Families of up to 8 elements in up to 8 blocks, plus up to two copied
+    blocks and up to two elements in no block, at random ground positions."""
+    family = draw(set_families(max_elements=8, max_blocks=8))
+    blocks = family.blocks + tuple(draw(st.lists(st.sampled_from(family.blocks), max_size=2)))
+    loops = tuple(range(101, 101 + draw(st.integers(0, 2))))
+    elements = draw(st.permutations(family.ground.elements + loops))
+    return SetFamily(GroundSet(elements), blocks)
+
+
+@given(families_with_loops_and_copies())
+@settings(max_examples=150, deadline=None)
+def test_hyperplanes_and_atoms_slice_the_flats(family):
+    fresh = TransversalMatroid(family)
+    hyperplanes = fresh.hyperplane_masks()  # before any flat_masks call
+    matroid = TransversalMatroid(family)
+    flats, ranks = matroid.flat_masks(), matroid.flat_ranks()
+    r = matroid.ground_rank
+    assert hyperplanes == tuple(f for f, k in zip(flats, ranks) if k == r - 1)
+    assert fresh.flat_masks() == flats
+    loops = flats[0]
+    assert loops == matroid.closure_mask(0)
+    atoms = matroid._flat_vectors()[0]
+    assert atoms == sorted(f & ~loops for f, k in zip(flats, ranks) if k == 1)
+    if is_covering(family):
+        assert loops == 0
+        assert sorted(map(family.ground.mask_of, Covering(family).atoms())) == atoms
 
 
 @given(set_families(max_elements=8, max_blocks=6))
