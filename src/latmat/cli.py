@@ -293,17 +293,17 @@ def _load_matroid(args) -> TransversalMatroid:
 def cmd_lattice(args) -> int:
     matroid = _load_matroid(args)
     family, ground = matroid.family, matroid.ground
-    lattice = build_lattice(matroid)
     covering = is_covering(family)
     if not covering:
         print("warning: family is not a covering of the universe", file=sys.stderr)
 
     if args.dot:
-        sys.stdout.write(lattice.to_dot())
+        sys.stdout.write(build_lattice(matroid).to_dot())
         return 0
     checks = {} if covering else check_covering_equivalences(matroid)._asdict()
 
     if args.json:
+        lattice = build_lattice(matroid)
         doc = {
             "universe": Members(ground, ground.full_mask),
             "flats": Flats(ground, lattice.masks, lattice.heights),
@@ -318,7 +318,7 @@ def cmd_lattice(args) -> int:
         return 0
 
     rows: dict[int, list[int]] = {}  # heights ascend in canonical order
-    for mask, height in zip(lattice.masks, lattice.heights):
+    for mask, height in zip(matroid.flat_masks(), matroid.flat_ranks()):
         rows.setdefault(height, []).append(mask)
     texts = {height: fmt_many(ground, row) for height, row in rows.items()}
     lines = [
@@ -326,7 +326,7 @@ def cmd_lattice(args) -> int:
         "blocks: " + fmt_many(ground, family.block_masks),
         "covering: " + _yesno(covering),
         f"rank: {matroid.ground_rank}",
-        f"flats ({len(lattice.masks)}):",
+        f"flats ({len(matroid.flat_masks())}):",
         *[f"  height {height}: {text}" for height, text in texts.items()],
         "atoms: " + texts[1],
         "coatoms: " + texts[matroid.ground_rank - 1],

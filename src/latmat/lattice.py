@@ -99,19 +99,16 @@ class GeometricLattice:
         union = self.masks[self.index_of(x)] | self.masks[self.index_of(y)]
         return self.ground.subset_of(self.masks[self._index(self._closed_hull(union))])
 
+    def _row(self, k: int) -> tuple[frozenset, ...]:
+        return tuple(self.ground.subset_of(m) for m, h in zip(self.masks, self.heights) if h == k)
+
     def atoms(self) -> tuple[frozenset, ...]:
         """Flats of height one."""
-        return tuple(
-            self.ground.subset_of(m) for m, h in zip(self.masks, self.heights) if h == 1
-        )
+        return self._row(1)
 
     def coatoms(self) -> tuple[frozenset, ...]:
-        """Flats covered by the top; equals the matroid's hyperplanes."""
-        return tuple(
-            self.ground.subset_of(self.masks[i])
-            for i, ups in enumerate(self.covers)
-            if self.top in ups
-        )
+        """Flats one below the top's height; equals the matroid's hyperplanes."""
+        return self._row(self.heights[self.top] - 1)
 
     # diagnostics ----------------------------------------------------------
 
@@ -193,8 +190,5 @@ class GeometricLattice:
 def build_lattice(matroid: TransversalMatroid) -> GeometricLattice:
     """Materialize the full lattice of flats of ``matroid``."""
     return GeometricLattice(
-        ground=matroid.ground,
-        masks=matroid.flat_masks(),
-        heights=matroid.flat_ranks(),
-        covers=matroid.flat_covers(),
+        matroid.ground, matroid.flat_masks(), matroid.flat_ranks(), matroid.flat_covers()
     )

@@ -8,13 +8,13 @@ matching of the ground uses: they present the same matroid (Oxley, *Matroid
 Theory*, 1.6).  One breadth-first sweep over a matching, the alternating
 forest of Kuhn's method, gives the closure and the blocks visited, along which
 one walk back matches any element outside it.  The flats are the loops plus
-sets of atoms, read with their ranks and Hasse covers off bit vectors indexed
-by atom sets.  All subset arithmetic runs on bitmasks in which element i of
-an n-element ground is bit n - 1 - i, so for masks of one size ascending
-member tuples are descending ints: every canonical (size, members) order is
-a plain int sort.  Only this module reads that numbering; other code takes
-bits from ``GroundSet.bits``, and members from :func:`pick` or, for a list
-of masks, :func:`joined`.
+sets of atoms, read with their ranks off bit vectors indexed by atom sets;
+their Hasse covers are built only when read.  All subset arithmetic runs on
+bitmasks in which element i of an n-element ground is bit n - 1 - i, so for
+masks of one size ascending member tuples are descending ints: every
+canonical (size, members) order is a plain int sort.  Only this module reads
+that numbering; other code takes bits from ``GroundSet.bits``, and members
+from :func:`pick` or, for a list of masks, :func:`joined`.
 """
 
 from __future__ import annotations
@@ -234,14 +234,15 @@ class TransversalMatroid:
     they miss, and each element they hold is matched by one walk back.  The
     flats cost r + p vectors of 2**p bits for p <= n atoms, computed once: at
     most 8 KB each on 16 elements, but wider low-rank matroids pay for all
-    2**p atom sets however few their flats.
+    2**p atom sets however few their flats.  Covers are built only when read.
     """
 
     def __init__(self, family: SetFamily):
         self.family = family
         self.ground = family.ground
         self._vectors: tuple | None = None  # the record of _flat_vectors
-        self._flat_record: tuple | None = None  # (masks, ranks, covers)
+        self._flat_record: tuple | None = None  # (masks, ranks, atom sets per rank)
+        self._covers: tuple | None = None  # built by flat_covers alone
         self._blocks = family.block_masks  # until the ground's matching picks r of them
         owner = self._matching(self.ground.full_mask)[0]
         self._blocks = tuple(self._blocks[b] for b, i in enumerate(owner) if i >= 0)
@@ -355,40 +356,20 @@ class TransversalMatroid:
         return sets, [high[s >> h] | low[s & part] for s in sets]
 
     def flat_masks(self) -> tuple[int, ...]:
-        """All closed sets, sorted by (rank, member indices).
+        """All closed sets, sorted by (rank, member indices); no cover is built.
 
         Each flat is the loops and a set of atoms (Oxley, *Matroid Theory*,
         1.7), and a rank's flats are listed by member indices as descending
-        ints.  A flat one rank up covers a flat F iff it holds F's atoms, so
-        F's covers are the AND over its atoms of the flats above holding
-        each, read from two half tables of ANDs.
+        ints.  Each rank's atom sets are kept for :meth:`flat_covers`.
         """
         if self._flat_record is None:
-            p = len(self._flat_vectors()[0])
-            h, part = p // 2, (1 << p // 2) - 1
-            masks, ranks, covers = [], [], []
+            masks, ranks, levels = [], [], []
             for rank in range(self.ground_rank + 1):
                 sets, flats = self._flat_sets(rank)
-                if rank:  # columns[a]: bit j set iff the j-th set here holds atom a
-                    rows = [f"{s:0{p}b}" for s in reversed(sets)]
-                    columns = [int("".join(c), 2) for c in zip(*rows)][::-1]
-                    over, under = [(1 << len(sets)) - 1], [-1]
-                    for table, half in ((under, columns[:h]), (over, columns[h:])):
-                        for column in half:
-                            table += [*map(column.__and__, table)]
-                    base = len(masks) - 1
-                    for s in below:
-                        ups, out = over[s >> h] & under[s & part], []
-                        while ups:
-                            bit = ups & -ups
-                            out.append(base + bit.bit_length())
-                            ups ^= bit
-                        covers.append(tuple(out))
                 masks += flats
                 ranks += [rank] * len(flats)
-                below = sets
-            covers.append(())  # the top
-            self._flat_record = (tuple(masks), tuple(ranks), tuple(covers))
+                levels.append(sets)
+            self._flat_record = (tuple(masks), tuple(ranks), levels)
         return self._flat_record[0]
 
     def flat_ranks(self) -> tuple[int, ...]:
@@ -397,9 +378,34 @@ class TransversalMatroid:
         return self._flat_record[1]
 
     def flat_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Per flat, the ascending positions in :meth:`flat_masks` of its covers."""
-        self.flat_masks()
-        return self._flat_record[2]
+        """Per flat, the ascending positions in :meth:`flat_masks` of its covers.
+
+        Built when first read: a flat one rank up covers F iff it holds F's
+        atoms, kept by :meth:`flat_masks`; two half tables of ANDs list them.
+        """
+        if self._covers is None:
+            self.flat_masks()
+            p = len(self._flat_vectors()[0])
+            h, part = p // 2, (1 << p // 2) - 1
+            levels, covers, base = self._flat_record[2], [], -1
+            for below, sets in zip(levels, levels[1:]):
+                # columns[a]: bit j set iff the j-th set here holds atom a
+                digits = "".join(f"{s:0{p}b}" for s in reversed(sets))
+                columns = [int(digits[c::p], 2) for c in range(p)][::-1]
+                over, under = [(1 << len(sets)) - 1], [-1]
+                for table, half in ((under, columns[:h]), (over, columns[h:])):
+                    for column in half:
+                        table += [*map(column.__and__, table)]
+                base += len(below)
+                for s in below:
+                    ups, out = over[s >> h] & under[s & part], []
+                    while ups:
+                        bit = ups & -ups
+                        out.append(base + bit.bit_length())
+                        ups ^= bit
+                    covers.append(tuple(out))
+            self._covers = (*covers, ())  # the top: no flat above
+        return self._covers
 
     def hyperplane_masks(self) -> tuple[int, ...]:
         """The flats of rank r - 1, in :meth:`flat_masks` order; no covers are built."""

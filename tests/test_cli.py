@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -34,6 +35,8 @@ from latmat.cli import (
     to_json,
 )
 from strategies import information_systems, set_families
+from test_data_snapshots import EXPECTED as SNAPSHOTS
+from test_data_snapshots import ROOT as SNAPSHOT_ROOT
 
 COVERING_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4, 5]]}'
 FAMILY_DOC = '{"universe": [1, 2, 3, 4, 5], "blocks": [[1, 3], [2, 3], [3, 4]]}'
@@ -336,6 +339,23 @@ def test_lattice_text_golden(covering_file, capsys):
     out = capsys.readouterr()
     assert out.out == LATTICE_TEXT
     assert out.err == ""
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in SNAPSHOTS if c.startswith("lattice ") and "--" not in c]
+)
+def test_lattice_text_builds_no_covers(command, monkeypatch, capsys):
+    # the text form prints flats by height, atoms and coatoms, so neither it
+    # nor the covering checks of a non-covering family (data/family.json)
+    # may build the Hasse covers
+    def refuse(self):
+        raise AssertionError("the text form built the Hasse covers")
+
+    monkeypatch.setattr(TransversalMatroid, "flat_covers", refuse)
+    monkeypatch.chdir(SNAPSHOT_ROOT)
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == SNAPSHOTS[command]
 
 
 def test_lattice_warns_on_non_covering(family_file, capsys):

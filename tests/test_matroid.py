@@ -1,5 +1,6 @@
 """Transversal matroid core: independence, rank, closure, flats, hyperplanes."""
 
+import itertools
 import os
 
 import pytest
@@ -634,6 +635,27 @@ def test_flats_and_covers_match_matching_route(family):
             if r == rank_of[flat] + 1 and flat & ~g == 0
         }
         assert {flats[k] for k in ups} == expected
+
+
+@given(set_families(max_elements=6, max_blocks=6))
+@settings(max_examples=60, deadline=None)
+def test_flat_record_does_not_depend_on_call_order(family):
+    # flat_masks keeps the atom sets and flat_covers builds the covers from
+    # them on first call; hyperplane_masks reads one rank alone
+    flats = oracles.flat_masks(family)
+    edges = oracles.cover_pairs(flats)
+    first = None
+    for order in itertools.permutations(("flat_covers", "flat_masks", "hyperplane_masks")):
+        matroid = TransversalMatroid(family)
+        got = {name: getattr(matroid, name)() for name in order}
+        masks, covers = got["flat_masks"], got["flat_covers"]
+        assert len(masks) == len(flats) and set(masks) == flats
+        assert {(masks[k], masks[up]) for k, ups in enumerate(covers) for up in ups} == edges
+        r = matroid.ground_rank
+        hyperplanes = tuple(m for m, k in zip(masks, matroid.flat_ranks()) if k == r - 1)
+        assert got["hyperplane_masks"] == hyperplanes
+        first = first or got
+        assert got == first
 
 
 @given(set_families(max_elements=8, max_blocks=6))
