@@ -3,13 +3,11 @@
 Coverings and families arrive as JSON documents with ``universe`` and
 ``blocks`` keys; information tables arrive as CSV with attribute names in the
 header row and object names in the first column.  All outputs are
-byte-deterministic for identical inputs.  Every output is rendered from
-masks through the token tables of ``GroundSet`` and written with one
+byte-deterministic for identical inputs and written with one
 ``sys.stdout.write``; ``--json`` documents go through one writer,
-:func:`to_json`.  Each list of masks is joined by ``matroid.joined``: a
-list with at least as many members as two half tables of the ground's
-entries hold is read from those tables, two lookups a mask, and a shorter
-one walks each mask through ``matroid.pick``.
+:func:`to_json`.  Lists of masks are joined by ``matroid.joined``, and a
+table's partitions are grouped from its class-id columns by :func:`grouped`,
+both through the token tables of ``GroundSet``.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
@@ -52,7 +50,7 @@ def _read_text(path: str, newline: str | None = None) -> str:
 
 def _scalars(items) -> bool:
     # exact types: JSON true and false load as bool, a subclass of int
-    return all(type(e) in (str, int) for e in items)
+    return {*map(type, items)} <= {str, int}
 
 
 def load_covering_document(path: str) -> SetFamily:
@@ -101,15 +99,14 @@ def load_covering_document(path: str) -> SetFamily:
 def load_table_document(path: str, decision: str | None = None) -> InformationSystem:
     """Parse a CSV table into an InformationSystem.
 
-    Header row: first cell is the object-column label (ignored), the rest are
-    attribute names.  Each following row: object name, then one value per
-    attribute.  Cells are stripped; empty cells are rejected.  The column
-    named ``decision`` is set aside as the rows are read: relative reducts
-    are out of scope, so reduction runs over the condition attributes left.
+    Header row: the object-column label, then attribute names; each later
+    row: object name, then one value per attribute.  Read column by column,
+    cells are stripped and empty ones rejected.  The column named
+    ``decision`` is set aside, as relative reducts are out of scope.
     """
     reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
     try:
-        raw = [row for row in reader if row]
+        raw = [*filter(None, reader)]
     except csv.Error as exc:
         raise DocumentError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(raw) < 2:
@@ -126,22 +123,20 @@ def load_table_document(path: str, decision: str | None = None) -> InformationSy
     if len(attributes) > 1 and attributes.count(decision) == 1:
         aside = header.index(decision, 1)
         del attributes[aside - 1]
-    objects = []
-    rows = []
-    for lineno, row in enumerate(raw[1:], start=2):
-        if len(row) != len(header):
-            raise DocumentError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-            )
-        cells = [cell.strip() for cell in row]
-        if any(cell == "" for cell in cells):
-            raise DocumentError(f"{path}: row {lineno} has an empty cell")
-        if aside is not None:
-            del cells[aside]
-        objects.append(cells[0])
-        rows.append(tuple(cells[1:]))
+    body = raw[1:]
+    columns = [[*map(str.strip, column)] for column in zip(*body)]
+    if {*map(len, body)} != {len(header)} or not all(map(all, columns)):
+        for lineno, row in enumerate(body, start=2):  # name the first bad row
+            if len(row) != len(header):
+                raise DocumentError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            if "" in map(str.strip, row):
+                raise DocumentError(f"{path}: row {lineno} has an empty cell")
+    if aside is not None:
+        del columns[aside]
     try:
-        system = InformationSystem(tuple(objects), tuple(attributes), tuple(rows))
+        system = InformationSystem(columns[0], attributes, zip(*columns[1:]))
     except ValueError as exc:
         raise DocumentError(f"{path}: {exc}") from None
     if decision is not None and aside is None:
@@ -166,20 +161,24 @@ class Members:
 
 
 class MemberLists:
-    """Masks of ``ground`` that :func:`to_json` writes as a list of member lists."""
+    """Masks of ``ground`` that :func:`to_json` writes as a list of member lists.
 
-    __slots__ = ("ground", "masks")
+    With ``join=grouped``, ``masks`` is instead a class-id column whose
+    classes are written, in class-id order, as the partition's blocks.
+    """
 
-    def __init__(self, ground: GroundSet, masks):
+    __slots__ = ("ground", "masks", "join")
+
+    def __init__(self, ground: GroundSet, masks, join=joined):
         self.ground = ground
         self.masks = masks
+        self.join = join
 
 
 class Flats:
     """Flats of ``ground`` and their heights, for :func:`to_json`.
 
-    Written as a list of ``{"members": [...], "height": h}`` objects, each
-    built as one string.
+    Written as a list of ``{"members": [...], "height": h}`` objects.
     """
 
     __slots__ = ("ground", "masks", "heights")
@@ -191,18 +190,30 @@ class Flats:
 
 
 class IndexLists:
-    """Lists of ints, such as the lattice's covers, for :func:`to_json`."""
+    """Lists of ints below ``size``, such as the lattice's covers, for :func:`to_json`.
 
-    __slots__ = ("lists",)
+    Each int is written from one table of ``size`` decimal strings.
+    """
 
-    def __init__(self, lists):
+    __slots__ = ("lists", "size")
+
+    def __init__(self, lists, size: int):
         self.lists = lists
+        self.size = size
 
 
-def _member_lists(tokens, masks, pad: str) -> list[str]:
+def grouped(table, column, sep: str) -> list[str]:
+    """Per class id of ``column``, ascending, its entries of ``table`` joined by ``sep``."""
+    classes: list[list] = [[] for _ in range(max(column) + 1)]
+    for cid, entry in zip(column, table):
+        classes[cid].append(entry)
+    return [*map(sep.join, classes)]
+
+
+def _member_lists(tokens, masks, pad: str, join) -> list[str]:
     """Each mask's members from ``tokens`` as a JSON list at indent ``pad``."""
     inner = pad + "  "
-    runs = joined(tokens, masks, "," + inner)
+    runs = join(tokens, masks, "," + inner)
     # no token is empty, so a run is empty only for the empty mask
     return ["[" + inner + run + pad + "]" if run else "[]" for run in runs]
 
@@ -211,10 +222,9 @@ def to_json(value, pad: str = "\n") -> str:
     """``value`` written exactly as ``json.dumps(value, indent=2)`` writes it.
 
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
-    bools, None, :class:`Members`, :class:`MemberLists` and :class:`Flats`,
-    whose members are written from ``GroundSet.tokens``, and
-    :class:`IndexLists`; each leaf writes its list in one pass.  ``pad`` is
-    the newline and indent of the level that holds ``value``.
+    bools, None and the leaf classes above, each written in one pass, member
+    lists from ``GroundSet.tokens``.  ``pad`` is the newline and indent of
+    the level that holds ``value``.
     """
     kind = type(value)
     if kind is list or kind is tuple:
@@ -223,19 +233,20 @@ def to_json(value, pad: str = "\n") -> str:
     elif kind is Members:
         items = pick(value.ground.tokens, value.mask)
     elif kind is MemberLists:
-        items = _member_lists(value.ground.tokens, value.masks, pad + "  ")
+        items = _member_lists(value.ground.tokens, value.masks, pad + "  ", value.join)
     elif kind is Flats:
         inner, deeper = pad + "  ", pad + "    "
         head, middle = "{" + deeper + '"members": ', "," + deeper + '"height": '
-        members = _member_lists(value.ground.tokens, value.masks, deeper)
+        members = _member_lists(value.ground.tokens, value.masks, deeper, joined)
         items = [
             head + m + middle + str(h) + inner + "}" for m, h in zip(members, value.heights)
         ]
     elif kind is IndexLists:
         inner, deeper = pad + "  ", pad + "    "
-        sep = "," + deeper
+        sep, names = "," + deeper, [*map(str, range(value.size))]
         items = [
-            "[" + deeper + sep.join(map(str, c)) + inner + "]" if c else "[]" for c in value.lists
+            f"[{deeper}{sep.join(map(names.__getitem__, c))}{inner}]" if c else "[]"
+            for c in value.lists
         ]
     elif kind is dict:
         if not value:
@@ -307,7 +318,7 @@ def cmd_lattice(args) -> int:
         doc = {
             "universe": Members(ground, ground.full_mask),
             "flats": Flats(ground, lattice.masks, lattice.heights),
-            "covers": IndexLists(lattice.covers),
+            "covers": IndexLists(lattice.covers, len(lattice.masks)),
             "bottom": lattice.bottom,
             "top": lattice.top,
             "covering": covering,
@@ -385,8 +396,8 @@ def cmd_infosys(args) -> int:
             "attributes": Members(attributes, attributes.full_mask),
             "decision": args.decision,
             "partitions": {
-                a: MemberLists(objects, system.partition_masks(bit))
-                for a, bit in zip(system.attributes, attributes.bits)
+                a: MemberLists(objects, column, grouped)
+                for a, column in zip(system.attributes, system._columns.values())
             },
             "attribute_blocks": MemberLists(attributes, system.quotient_masks),
             "condition_holds": condition,
@@ -400,10 +411,9 @@ def cmd_infosys(args) -> int:
     if args.decision is not None:
         lines.append(f"decision column: {args.decision} (excluded from reduction)")
     lines.append("partitions:")
-    lines += [
-        f"  {a}: " + fmt_many(objects, system.partition_masks(bit))
-        for a, bit in zip(system.attributes, attributes.bits)
-    ]
+    columns = system._columns.values()  # equal columns, equal partitions
+    text = {c: "{" + "} {".join(grouped(objects.texts, c, ",")) + "}" for c in {*columns}}
+    lines += [f"  {a}: {text[c]}" for a, c in zip(system.attributes, columns)]
     lines += [
         "attribute blocks: " + fmt_many(attributes, system.quotient_masks),
         "condition: " + ("holds" if condition else "fails"),

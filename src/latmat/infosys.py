@@ -1,16 +1,17 @@
 """Complete information tables and attribute reduction over them.
 
 Objects are partitioned by agreement on attribute subsets; a reduct is a
-minimal subset inducing the same partition as the full attribute set.  When
-attribute subsets with equal partitions always saturate to the same blocks
-of the attribute quotient (attributes grouped by equal single-attribute
-partitions), the reducts are exactly the minimal hitting sets of the
-quotient blocks, one attribute from each.  That condition is decided from
-k + 1 partition keys, k being the number of quotient blocks.  In general
-the reducts are the minimal hitting sets of the discernibility matrix
-(Skowron & Rauszer, 1992): one mask per pair of distinct rows, marking the
-attributes on which the two rows differ.  Both routes run the hitting-set
-search of :mod:`latmat.dependence`; a guarded power-set scan is their oracle.
+minimal subset inducing the same partition as the full attribute set.  Each
+attribute is kept as a column of class ids in first-occurrence order, so
+equal partitions give equal columns, and a partition is printed by grouping
+the objects by id.  When attribute subsets with equal partitions always
+saturate to the same blocks of the attribute quotient (attributes grouped by
+equal columns), the reducts are the minimal hitting sets of the quotient
+blocks; k + 1 class counts decide that condition for k blocks.  In general
+they are the minimal hitting sets of the discernibility matrix (Skowron &
+Rauszer, 1992), one attribute mask per pair of distinct rows, of which only
+the minimal ones, read off a vector of 2**m bits, reach the search of
+:mod:`latmat.dependence`.  A guarded power-set scan is the oracle of both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     UnknownAttributeError,
     UnknownElementError,
 )
-from .matroid import GroundSet, iter_bits
+from .matroid import GroundSet, lacks, vector_sets
 
 __all__ = ["InformationSystem"]
 
@@ -37,9 +38,8 @@ class InformationSystem:
     Values are compared as opaque tokens; no coercion is attempted, so
     "1" and 1 are different values.  Missing cells are rejected.
     Attribute and object subsets are bitmasks of ``attribute_ground`` and
-    ``object_ground``, built from their ``bits``; the mask-level reduct lists
-    come in (size, attribute indices) order, which is size, then descending
-    int.  The element-level methods wrap the mask-level ones.
+    ``object_ground``; mask-level reduct lists come in (size, attribute
+    indices) order, and the element-level methods wrap them.
     """
 
     def __init__(self, objects: Iterable, attributes: Iterable, rows: Iterable[Iterable]):
@@ -52,7 +52,7 @@ class InformationSystem:
         """Validate the table and derive its grounds and canonical columns."""
         objects = tuple(self.objects)
         attributes = tuple(self.attributes)
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         if not objects:
             raise ValueError("at least one object is required")
         if not attributes:
@@ -63,26 +63,27 @@ class InformationSystem:
             raise ValueError("duplicate attribute identifiers")
         if len(rows) != len(objects):
             raise ValueError(f"expected {len(objects)} rows, got {len(rows)}")
-        for i, row in enumerate(rows):
-            if len(row) != len(attributes):
-                raise ValueError(
-                    f"row {i} has {len(row)} cells, expected {len(attributes)}"
-                )
-            for value in row:
-                if value is None or value == "":
+        # per attribute bit, in attribute order, the values numbered by first
+        # occurrence: equal partitions give equal columns
+        columns, values = [], []
+        for column in zip(*rows):
+            ids: dict = {}
+            columns.append(tuple([ids.setdefault(value, len(ids)) for value in column]))
+            values += ids
+        if {*map(len, rows)} != {len(attributes)} or None in values or "" in values:
+            for i, row in enumerate(rows):  # name the first bad row
+                if len(row) != len(attributes):
+                    raise ValueError(
+                        f"row {i} has {len(row)} cells, expected {len(attributes)}"
+                    )
+                if None in row or "" in row:
                     raise ValueError(f"missing value in row {i}")
         self.objects = objects
         self.attributes = attributes
         self.rows = rows
         self.attribute_ground = GroundSet(attributes)
         self.object_ground = GroundSet(objects)
-        # canonical per-attribute columns, keyed by the attribute's bit in
-        # attribute order: value tokens replaced by class ids in
-        # first-occurrence order, so equal partitions give equal columns
-        self._columns = {}
-        for bit, column in zip(self.attribute_ground.bits, zip(*rows)):
-            ids: dict = {}
-            self._columns[bit] = tuple(ids.setdefault(value, len(ids)) for value in column)
+        self._columns = dict(zip(self.attribute_ground.bits, columns))
 
     def _cap_attributes(self, what: str, max_attributes: int) -> int:
         m = len(self.attributes)
@@ -166,19 +167,17 @@ class InformationSystem:
     def check_saturation_condition(self) -> bool:
         """True when equal partitions always force equal saturations.
 
-        Every attribute set induces the partition of its saturation, so the
-        condition holds iff distinct unions of quotient blocks induce
-        distinct partitions.  That fails iff dropping some block's
-        representative from a set R of one representative per block leaves
-        the partition of R unchanged, so k + 1 partition keys decide it for
-        k blocks.
+        Every attribute set induces the partition of its saturation, so this
+        fails iff dropping some block's representative from a set R of one
+        representative per block leaves the partition of R unchanged.  That
+        only coarsens it, so k + 1 class counts decide it for k blocks; the
+        empty set has one class.
         """
-        representatives = sum(block & -block for block in self.quotient_masks)
-        full_key = self._partition_key_of_mask(representatives)
+        columns = [*dict.fromkeys(self._columns.values())]  # one per block
+        full = len(set(zip(*columns)))
         return all(
-            self._partition_key_of_mask(representatives ^ bit) != full_key
-            for bit in self.attribute_ground.bits
-            if bit & representatives
+            max(len(set(zip(*columns[:j], *columns[j + 1 :]))), 1) != full
+            for j in range(len(columns))
         )
 
     # reducts ----------------------------------------------------------------
@@ -186,10 +185,9 @@ class InformationSystem:
     def quotient_reduct_masks(self, *, max_attributes: int = 15) -> list[int]:
         """Minimal hitting sets of the quotient blocks: the quotient rule.
 
-        The blocks are disjoint, so the hitters are the selections of one
-        attribute from each block, and their number is the product of the
-        block sizes.  Valid only when :meth:`check_saturation_condition`
-        holds, which callers check first.  Output sorted by (size, attribute
+        The blocks are disjoint, so each reduct picks one attribute per
+        block.  Valid only when :meth:`check_saturation_condition` holds,
+        which callers check first.  Output sorted by (size, attribute
         indices).
         """
         self._cap_attributes("quotient rule", max_attributes)
@@ -212,37 +210,36 @@ class InformationSystem:
     def discernibility_reduct_masks(self, *, max_attributes: int = 20) -> list[int]:
         """Minimal hitting sets of the nonempty discernibility-matrix entries.
 
-        An attribute subset keeps the full partition iff it separates every
-        pair of distinct rows, i.e. meets the mask of attributes on which
-        the two rows differ.  Equal rows add no entry.  Output sorted by
-        (size, attribute indices), the order of :meth:`brute_force_reducts`;
-        guarded by ``max_attributes`` like it.
+        A subset keeps the full partition iff it meets the mask of
+        attributes on which each pair of distinct rows differs.  Output and
+        guard as in :meth:`brute_force_reducts`.
         """
         m = self._cap_attributes("discernibility reduct search", max_attributes)
-        # Each distinct row is packed into one int with a field of w + 1 bits
-        # per attribute, its class id in the low w bits.  Adding 2**w - 1 to
-        # every field of u ^ v carries into the field's top bit iff rows u
-        # and v differ on that attribute, and never into the next field.
+        # Distinct rows are packed into fields of step bits: attribute j in
+        # field m - 1 - j, the position of its bit, class id in the low w.
+        # Adding 2**w - 1 to each field of u ^ v carries into bit w iff u
+        # and v differ there, never further.
         columns = self._columns.values()
         w = max(map(max, columns)).bit_length()
-        step = w + 1
-        low = sum(1 << (j * step) for j in range(m))
+        step = max(w + 1, m)
+        rows = [0] * len(self.objects)
+        for column in columns:
+            rows = [r << step | c for r, c in zip(rows, column)]
+        rows = [*set(rows)]
+        low = sum(1 << f * step for f in range(m))
         fill, top = low * ((1 << w) - 1), low << w
-        rows = list({
-            sum(c << (j * step) for j, c in enumerate(row)) for row in zip(*columns)
-        })
         entries = {((u ^ v) + fill) & top for a, u in enumerate(rows) for v in rows[:a]}
-        # supersets of another entry constrain nothing further; the search
-        # would absorb them, but dropping them spares them the mapping below
-        kept: list[int] = []
-        for entry in sorted(entries, key=int.bit_count):
-            if all(k & ~entry for k in kept):
-                kept.append(entry)
-        # top bit j * step + w stands for attribute j
-        bits = self.attribute_ground.bits
-        return minimal_hitting_masks(
-            sum(bits[b // step] for b in iter_bits(entry)) for entry in kept
-        )
+        # One multiply moves bit w of field f to bit f of the m-bit window at
+        # (m - 1)(step - 1) + w: step >= m, so no partial products meet.
+        spread = sum(1 << k * (step - 1) for k in range(m))
+        shift, full = (m - 1) * (step - 1) + w, (1 << m) - 1
+        vector = sum(1 << (e * spread >> shift & full) for e in entries)
+        # An entry above another constrains nothing further.  Grown by one
+        # attribute at a time, ``above`` holds the sets strictly above one.
+        above = 0
+        for a, lack in enumerate(lacks(m)):
+            above |= ((vector | above) & lack) << (1 << a)
+        return minimal_hitting_masks(vector_sets(vector & ~above))
 
     def discernibility_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
         """Frozenset form of :meth:`discernibility_reduct_masks`, same order."""
@@ -252,9 +249,9 @@ class InformationSystem:
     def brute_force_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
         """Inclusion-minimal attribute subsets preserving the full partition.
 
-        Exhaustive 2**m scan in (size, attribute indices) order; supersets of
-        an already kept reduct are skipped.  The oracle for the quotient rule and for
-        :meth:`discernibility_reducts`, guarded by ``max_attributes``.
+        Exhaustive 2**m scan in (size, attribute indices) order, skipping
+        supersets of a kept reduct; the oracle of the other routes, guarded
+        by ``max_attributes``.
         """
         m = self._cap_attributes("brute-force reduct scan", max_attributes)
         full_key = self._partition_key_of_mask(self.attribute_ground.full_mask)

@@ -2,19 +2,18 @@
 
 A family of nonempty blocks over a finite ground set induces a matroid whose
 independent sets are the partial transversals of the family: the subsets that
-can be matched injectively into blocks containing them.  Rank is therefore a
-maximum bipartite matching size, taken over the r blocks that one maximum
-matching of the ground uses: they present the same matroid (Oxley, *Matroid
-Theory*, 1.6).  One breadth-first sweep over a matching, the alternating
-forest of Kuhn's method, gives the closure and the blocks visited, along which
-one walk back matches any element outside it.  The flats are the loops plus
-sets of atoms, read with their ranks off bit vectors indexed by atom sets;
-their Hasse covers are built only when read.  All subset arithmetic runs on
-bitmasks in which element i of an n-element ground is bit n - 1 - i, so for
-masks of one size ascending member tuples are descending ints: every
-canonical (size, members) order is a plain int sort.  Only this module reads
-that numbering; other code takes bits from ``GroundSet.bits``, and members
-from :func:`pick` or, for a list of masks, :func:`joined`.
+can be matched injectively into blocks containing them.  Rank is a maximum
+matching size, taken over the r blocks that one maximum matching of the
+ground uses: they present the same matroid (Oxley, *Matroid Theory*, 1.6).
+One breadth-first sweep over a matching, the alternating forest of Kuhn's
+method, gives the closure and the blocks along which one walk back matches
+any element outside it.  The flats are the loops plus sets of atoms, read
+with their ranks off bit vectors indexed by atom sets; their Hasse covers
+are built only when read.  Subsets are bitmasks in which element i of n is
+bit n - 1 - i, so every canonical (size, members) order is a plain int sort.
+Beyond this module only the discernibility gather of :mod:`latmat.infosys`
+reads that numbering; other code takes bits from ``GroundSet.bits``, and
+members from :func:`pick` or, for a list of masks, :func:`joined`.
 """
 
 from __future__ import annotations
@@ -79,18 +78,18 @@ def _runs(pieces: Sequence[str]) -> list[str]:
 def joined(table: Sequence[str], masks: Sequence[int], sep: str) -> list[str]:
     """``sep.join(pick(table, mask))`` for each mask of ``masks``.
 
-    For an n-entry table and h = n // 2, a list with at least as many
-    members as the 2**h + 2**(n - h) runs of two half tables is read from
-    them: each mask is ``high[mask >> h] + low[mask & (2**h - 1)]``, runs of
-    separator-prefixed entries, with the leading separator cut.  A shorter
-    list walks each mask through :func:`pick`, uncounted when its length
-    times n falls short.  Either way a negative mask,
-    or one with a bit at or above n, raises ``IndexError``.
+    For an n-entry table and h = n // 2, two half tables of 2**h and
+    2**(n - h) runs of separator-prefixed entries give each mask as
+    ``high[mask >> h] + low[mask & (2**h - 1)]``, the first separator cut.
+    A run costs about one member walked through :func:`pick`, and a table
+    entry two more, so a list with fewer members than the runs plus 2n is
+    walked.  Either way a negative mask, or one with a bit at or above n,
+    raises ``IndexError``.
     """
     n = len(table)
     h = n // 2
-    runs = (1 << h) + (1 << (n - h))
-    if len(masks) * n < runs or sum(map(int.bit_count, masks)) < runs:
+    cost = (1 << h) + (1 << (n - h)) + 2 * n
+    if len(masks) * n < cost or sum(map(int.bit_count, masks)) < cost:
         return [sep.join(pick(table, mask)) for mask in masks]
     if min(masks) < 0:  # mask >> h would index high from its end
         raise IndexError(f"mask outside a table of {n} entries")
@@ -107,6 +106,21 @@ def labels(table: Sequence[str], masks: Sequence[int]) -> list[str]:
     ``texts``, joined by :func:`joined`.
     """
     return ["{" + text + "}" for text in joined(table, masks, ",")]
+
+
+def lacks(p: int) -> list[int]:
+    """Per item a < p, the vector of 2**p bits whose bit S is set iff set S lacks a."""
+    out: list[int] = []
+    for a in range(p):
+        out = [m | m << (1 << a) for m in out] + [(1 << (1 << a)) - 1]
+    return out
+
+
+def vector_sets(vector: int) -> list[int]:
+    """The sets whose bits ``vector`` holds, descending."""
+    digits = bin(vector)
+    top = len(digits) - 1
+    return [top - one.start() for one in re.finditer("1", digits)]
 
 
 def residue_masks(blocks: Sequence[int]) -> tuple[list[int], int]:
@@ -137,16 +151,19 @@ class GroundSet:
 
     def __init__(self, elements: Iterable[Hashable]):
         elements = tuple(elements)
-        if not elements:
+        n = len(elements)
+        if not n:
             raise ValueError("ground set must not be empty")
-        index: dict = {}
-        for i, element in enumerate(elements):
-            if element in index:
-                raise ValueError(f"duplicate element {element!r} in ground set")
-            index[element] = i
+        index = dict(zip(elements, range(n)))
+        if len(index) < n:  # name the first element seen twice
+            seen: set = set()
+            for element in elements:
+                if element in seen:
+                    raise ValueError(f"duplicate element {element!r} in ground set")
+                seen.add(element)
         self.elements = elements
-        self.full_mask = (1 << len(elements)) - 1
-        self.bits = tuple(1 << i for i in range(len(elements) - 1, -1, -1))
+        self.full_mask = (1 << n) - 1
+        self.bits = tuple([1 << i for i in range(n - 1, -1, -1)])
         self.texts = tuple(map(str, elements))
         self.tokens = tuple(
             encode_basestring_ascii(e) if isinstance(e, str) else str(e) for e in elements
@@ -228,13 +245,12 @@ class TransversalMatroid:
 
     Rank is the size of a maximum matching of elements into blocks containing
     them; the blocks one matching of the ground uses, in family order, are
-    the presentation every later sweep runs over, and ``family`` stays as
-    given.  A sweep over a matching reaches the free-reaching blocks, those
-    unmatched or owned by an element of one; the closure adds every element
-    they miss, and each element they hold is matched by one walk back.  The
-    flats cost r + p vectors of 2**p bits for p <= n atoms, computed once: at
-    most 8 KB each on 16 elements, but wider low-rank matroids pay for all
-    2**p atom sets however few their flats.  Covers are built only when read.
+    the presentation every later sweep runs over.  A sweep over a matching
+    reaches the blocks unmatched or owned by an element of one; the closure
+    adds every element they miss, and each element they hold is matched by
+    one walk back.  The flats cost r + p vectors of 2**p bits for p <= n
+    atoms, computed once: 8 KB each at most on 16 elements, but wider
+    low-rank matroids pay for all 2**p atom sets however few their flats.
     """
 
     def __init__(self, family: SetFamily):
@@ -321,21 +337,19 @@ class TransversalMatroid:
         if self._vectors is None:
             residues, shared = residue_masks(self._blocks)
             atoms = sorted(residues + [1 << i for i in iter_bits(shared)])
-            lacks = []  # lacks[a]: the sets without atom a
-            for a in range(len(atoms)):
-                lacks = [m | m << (1 << a) for m in lacks] + [(1 << (1 << a)) - 1]
+            lacking = lacks(len(atoms))
             ind = [1] + [0] * self.ground_rank  # ind[k]: the independent k-sets
             for done, block in enumerate(self._blocks):
                 held = [a for a, atom in enumerate(atoms) if atom & block]
                 for k in range(done + 1, 0, -1):
                     for a in held:
-                        ind[k] |= (ind[k - 1] & lacks[a]) << (1 << a)
+                        ind[k] |= (ind[k - 1] & lacking[a]) << (1 << a)
             levels, above = [], 0
             for vector in reversed(ind):
-                for a, lack in enumerate(lacks):  # the sets of this rank or more
+                for a, lack in enumerate(lacking):  # the sets of this rank or more
                     vector |= (vector & lack) << (1 << a)
                 exact, above, kept = vector & ~above, vector, 0
-                for a, lack in enumerate(lacks):
+                for a, lack in enumerate(lacking):
                     kept |= exact >> (1 << a) & lack
                 levels.insert(0, exact & ~kept)
             h = len(atoms) // 2
@@ -349,9 +363,7 @@ class TransversalMatroid:
     def _flat_sets(self, rank: int) -> tuple[list[int], list[int]]:
         """The atom sets of the flats of ``rank``, descending, and the flats."""
         atoms, levels, high, low = self._flat_vectors()
-        digits = bin(levels[rank])
-        top, h = len(digits) - 1, len(atoms) // 2
-        sets = [top - one.start() for one in re.finditer("1", digits)]
+        sets, h = vector_sets(levels[rank]), len(atoms) // 2
         part = (1 << h) - 1
         return sets, [high[s >> h] | low[s & part] for s in sets]
 
@@ -359,8 +371,7 @@ class TransversalMatroid:
         """All closed sets, sorted by (rank, member indices); no cover is built.
 
         Each flat is the loops and a set of atoms (Oxley, *Matroid Theory*,
-        1.7), and a rank's flats are listed by member indices as descending
-        ints.  Each rank's atom sets are kept for :meth:`flat_covers`.
+        1.7); each rank's atom sets are kept for :meth:`flat_covers`.
         """
         if self._flat_record is None:
             masks, ranks, levels = [], [], []
@@ -449,11 +460,11 @@ class TransversalMatroid:
 
     def flats(self) -> tuple[frozenset, ...]:
         """Every closed set, in deterministic (rank, member) order."""
-        return tuple(self.ground.subset_of(m) for m in self.flat_masks())
+        return tuple(map(self.ground.subset_of, self.flat_masks()))
 
     def hyperplanes(self) -> tuple[frozenset, ...]:
         """Closed sets of rank one below the ground rank."""
-        return tuple(self.ground.subset_of(m) for m in self.hyperplane_masks())
+        return tuple(map(self.ground.subset_of, self.hyperplane_masks()))
 
     def closure_via_hyperplanes(self, subset: Iterable) -> frozenset:
         """Closure computed as an intersection of enclosing hyperplanes.

@@ -29,11 +29,13 @@ from latmat.cli import (
     MemberLists,
     Members,
     build_parser,
+    grouped,
     load_covering_document,
     load_table_document,
     main,
     to_json,
 )
+from latmat.matroid import joined
 from strategies import information_systems, set_families
 from test_data_snapshots import EXPECTED as SNAPSHOTS
 from test_data_snapshots import ROOT as SNAPSHOT_ROOT
@@ -328,6 +330,39 @@ def test_load_table_rejects_empty_cell(tmp_path):
     path.write_text("object,a,b\nx1,1,\n")
     with pytest.raises(DocumentError, match="empty cell"):
         load_table_document(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("object,a,b\nx1,1, \nx2,1\n", "row 2 has an empty cell"),
+        ("object,a,b\nx1,1\nx2,1,\n", "row 2 has 2 cells, expected 3"),
+        ("object,a,b\nx1,1,2\nx2,,2\nx3\n", "row 3 has an empty cell"),
+        ("object,a,b\nx1,1,2\nx2,1,2,3\nx3,1,\n", "row 3 has 4 cells, expected 3"),
+    ],
+    ids=["empty-then-ragged", "ragged-then-empty", "empty-first-column", "long-row"],
+)
+def test_load_table_names_the_first_bad_row(tmp_path, text, message):
+    # the columns are checked as a whole; a fault sends the load back to
+    # the rows, which name the first bad one
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DocumentError) as caught:
+        load_table_document(str(path), "b")
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@given(information_systems(max_objects=8, max_values=4, max_copies=2))
+@settings(max_examples=60, deadline=None)
+def test_grouped_partitions_match_partition_masks(system):
+    texts, tokens = system.object_ground.texts, system.object_ground.tokens
+    for bit, column in system._columns.items():
+        blocks = system.partition_masks(bit)
+        assert grouped(texts, column, ",") == joined(texts, blocks, ",")
+        assert to_json(MemberLists(system.object_ground, column, grouped)) == to_json(
+            MemberLists(system.object_ground, blocks)
+        )
+        assert len(grouped(tokens, column, ", ")) == len(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +881,7 @@ def test_to_json_writes_members_from_tokens(elements, drawn):
 @example([(), (3, 10, 11), (), (127,)])
 def test_to_json_writes_index_lists(covers):
     # the lattice's covers: tuples of flat indices, the top flat's empty
-    lists = IndexLists(covers)
+    lists = IndexLists(covers, 1 + max(map(max, filter(None, covers)), default=-1))
     expected = [list(c) for c in covers]
     assert to_json(lists) == json.dumps(expected, indent=2)
     assert to_json({"covers": lists, "nested": [lists, {"deeper": lists}]}) == json.dumps(

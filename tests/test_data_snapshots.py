@@ -7,6 +7,10 @@ n - 1 - i, and they must not change with the bit numbering.
 ``data/wide-rank3.json`` (U(3, 16)) was recorded before the flats came from
 vectors over atom sets: it has the fewest flats per atom that 16 elements
 allow, where that route costs most.
+``data/wide-table.csv`` (15 attributes, 60 rows, 2 to 40 values per column,
+drawn with ``random.Random(15)``) was recorded before the table layers read
+class-id columns: its condition fails, so both of its text forms take the
+discernibility route.
 """
 
 import hashlib
@@ -115,6 +119,15 @@ EXPECTED = {
     ),
     "infosys data/weather.csv --decision humidity": (
         "9f1d380a2bc401aad13c6e3676fa344bcadeedc6c6642a313a76feb9b10c1524", 0
+    ),
+    "infosys data/wide-table.csv": (
+        "c568fc341dcdf4afd3b5e9559d9040b685eceed5f87c3d0dc5cf69bff1b06f6d", 0
+    ),
+    "infosys data/wide-table.csv --force-brute": (
+        "c568fc341dcdf4afd3b5e9559d9040b685eceed5f87c3d0dc5cf69bff1b06f6d", 0
+    ),
+    "infosys data/wide-table.csv --json": (
+        "beef4e666407cc99546b7870e02c7c44d0567c2c48aa3add7b5431f2badbca5e", 0
     ),
 }
 

@@ -10,6 +10,7 @@ from latmat import (
     InformationSystem,
     UnknownAttributeError,
     UnknownElementError,
+    infosys,
 )
 from strategies import information_systems, saturated_systems
 
@@ -66,6 +67,24 @@ def test_rejects_ragged_rows():
 def test_rejects_wrong_shape(objects, attributes, rows, message):
     with pytest.raises(ValueError, match=message):
         InformationSystem(objects, attributes, rows)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((("1", ""), ("1",)), "missing value in row 0"),
+        ((("1",), ("1", "")), "row 0 has 1 cells, expected 2"),
+        ((("1", "2"), ("1", None), ("1", "2", "3")), "missing value in row 1"),
+        ((("1", "2"), ("1", "2", "3"), (None, "2")), "row 1 has 3 cells, expected 2"),
+    ],
+    ids=["missing-then-short", "short-then-missing", "none-then-long", "long-then-none"],
+)
+def test_rejects_the_first_bad_row(rows, message):
+    # the columns are checked as a whole; a fault sends the check back to
+    # the rows, which name the first bad one
+    objects = tuple(f"x{i}" for i in range(len(rows)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        InformationSystem(objects, ("a", "b"), rows)
 
 
 def test_rejects_missing_values():
@@ -252,6 +271,20 @@ def test_condition_fails_on_constant_column():
     assert not oracles.saturation_condition_by_scan(system)
 
 
+def test_condition_fails_on_one_constant_block():
+    # one quotient block of constant columns: dropping its representative
+    # leaves the empty set, whose single class matches the block's own
+    system = InformationSystem(("x1", "x2"), ("a", "b"), (("1", "p"), ("1", "p")))
+    assert system.quotient_masks == (0b11,)
+    assert not system.check_saturation_condition()
+    assert not oracles.saturation_condition_by_scan(system)
+    assert system.discernibility_reducts() == system.brute_force_reducts() == (frozenset(),)
+    # one block that separates the objects keeps the condition
+    split = InformationSystem(("x1", "x2"), ("a", "b"), (("1", "p"), ("2", "q")))
+    assert split.check_saturation_condition()
+    assert oracles.saturation_condition_by_scan(split)
+
+
 @given(information_systems(max_objects=6, max_attributes=5, max_copies=3))
 @settings(max_examples=200, deadline=None)
 def test_condition_matches_power_set_scan(system):
@@ -361,6 +394,34 @@ def test_discernibility_capacity_guard(weather_system):
 @settings(max_examples=200, deadline=None)
 def test_discernibility_reducts_match_brute_force(system):
     assert system.discernibility_reducts() == system.brute_force_reducts()
+
+
+def test_discernibility_gather_matches_brute_force_on_wide_values(monkeypatch):
+    # class ids of w bits pack into fields of max(w + 1, m) bits: draw
+    # tables where w + 1 > m and tables where m >= w + 1
+    cases, fed = set(), []
+    search = infosys.minimal_hitting_masks
+
+    def record(targets):
+        fed.append(list(targets))
+        return search(fed[-1])
+
+    monkeypatch.setattr(infosys, "minimal_hitting_masks", record)
+
+    @given(information_systems(max_objects=40, max_attributes=12, max_values=40))
+    @settings(max_examples=80, deadline=None)
+    def check(system):
+        w = max(map(max, system._columns.values())).bit_length()
+        cases.add(w + 1 > len(system.attributes))
+        fed.clear()
+        assert system.discernibility_reducts() == system.brute_force_reducts()
+        # only the minimal entries reach the search
+        (targets,) = fed
+        assert len(set(targets)) == len(targets)
+        assert all(a & ~b for a in targets for b in targets if a != b)
+
+    check()
+    assert cases == {False, True}
 
 
 @given(information_systems())

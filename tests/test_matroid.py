@@ -32,6 +32,17 @@ def test_ground_set_rejects_duplicates():
         GroundSet((1, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "elements, named",
+    [(("a", "b", "b", "a"), "'b'"), (("a", "b", "a", "b"), "'a'"), ((1, 2, True), "True")],
+)
+def test_ground_set_names_the_first_repeat(elements, named):
+    # the index is built in one pass; only a short one is scanned for the repeat
+    with pytest.raises(ValueError, match=f"^duplicate element {named} in ground set$"):
+        GroundSet(elements)
+    assert GroundSet(elements[:2])._index == {elements[0]: 0, elements[1]: 1}
+
+
 def test_ground_set_rejects_empty():
     with pytest.raises(ValueError):
         GroundSet(())
