@@ -1,8 +1,8 @@
 """Transversal matroids, flat lattices, and attribute reduction.
 
 The pipeline: a finite set family induces a transversal matroid, presented by
-r blocks that one maximum matching uses; its closed sets form a geometric
-lattice; the lattice's coatoms drive attribute reduction through
+the r blocks one maximum matching of the ground uses; its closed sets form a
+geometric lattice; the lattice's coatoms drive attribute reduction through
 minimal hitting sets of their complements; and information tables reduce
 either by the same machinery or directly through the attribute quotient when
 the saturation condition holds. ``latmat reducts`` prints the bases, the sets

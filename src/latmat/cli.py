@@ -3,11 +3,14 @@
 Coverings and families arrive as JSON documents with ``universe`` and
 ``blocks`` keys; information tables arrive as CSV with attribute names in the
 header row and object names in the first column.  All outputs are
-byte-deterministic for identical inputs and written with one
+byte-deterministic for identical inputs.  Every output is rendered through
+the token tables of ``GroundSet`` and written with one
 ``sys.stdout.write``; ``--json`` documents go through one writer,
-:func:`to_json`.  Lists of masks are joined by ``matroid.joined``, and a
-table's partitions are grouped from its class-id columns by :func:`grouped`,
-both through the token tables of ``GroundSet``.
+:func:`to_json`.  Each list of masks is joined by ``matroid.joined``: a
+list with more members than two half tables of the ground's entries cost
+to build is read from those tables, two lookups a mask, and a shorter one
+walks each mask through ``matroid.pick``.  A table's partitions are not
+masks: each is grouped from its class-id column by :func:`grouped`.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
@@ -50,7 +53,7 @@ def _read_text(path: str, newline: str | None = None) -> str:
 
 def _scalars(items) -> bool:
     # exact types: JSON true and false load as bool, a subclass of int
-    return {*map(type, items)} <= {str, int}
+    return all(type(e) in (str, int) for e in items)
 
 
 def load_covering_document(path: str) -> SetFamily:
@@ -99,14 +102,17 @@ def load_covering_document(path: str) -> SetFamily:
 def load_table_document(path: str, decision: str | None = None) -> InformationSystem:
     """Parse a CSV table into an InformationSystem.
 
-    Header row: the object-column label, then attribute names; each later
-    row: object name, then one value per attribute.  Read column by column,
-    cells are stripped and empty ones rejected.  The column named
-    ``decision`` is set aside, as relative reducts are out of scope.
+    Header row: first cell is the object-column label (ignored), the rest are
+    attribute names.  Each following row: object name, then one value per
+    attribute.  The rows are read column by column: cells are stripped and
+    empty cells are rejected, and only a table that fails a check is scanned
+    row by row, to name its first bad row.  The column named ``decision`` is
+    set aside: relative reducts are out of scope, so reduction runs over the
+    condition attributes left.
     """
     reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
     try:
-        raw = [*filter(None, reader)]
+        raw = [row for row in reader if row]
     except csv.Error as exc:
         raise DocumentError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(raw) < 2:
@@ -161,24 +167,35 @@ class Members:
 
 
 class MemberLists:
-    """Masks of ``ground`` that :func:`to_json` writes as a list of member lists.
+    """Masks of ``ground`` that :func:`to_json` writes as a list of member lists."""
 
-    With ``join=grouped``, ``masks`` is instead a class-id column whose
-    classes are written, in class-id order, as the partition's blocks.
-    """
+    __slots__ = ("ground", "masks")
 
-    __slots__ = ("ground", "masks", "join")
-
-    def __init__(self, ground: GroundSet, masks, join=joined):
+    def __init__(self, ground: GroundSet, masks):
         self.ground = ground
         self.masks = masks
-        self.join = join
+
+
+class Partition:
+    """A partition of ``ground`` given as a class-id column, for :func:`to_json`.
+
+    ``column[i]`` is the class of element i, ids numbered from 0 by first
+    occurrence; written like a :class:`MemberLists` of the classes, in id
+    order, grouped by :func:`grouped`.
+    """
+
+    __slots__ = ("ground", "column")
+
+    def __init__(self, ground: GroundSet, column):
+        self.ground = ground
+        self.column = column
 
 
 class Flats:
     """Flats of ``ground`` and their heights, for :func:`to_json`.
 
-    Written as a list of ``{"members": [...], "height": h}`` objects.
+    Written as a list of ``{"members": [...], "height": h}`` objects, each
+    built as one string.
     """
 
     __slots__ = ("ground", "masks", "heights")
@@ -190,30 +207,37 @@ class Flats:
 
 
 class IndexLists:
-    """Lists of ints below ``size``, such as the lattice's covers, for :func:`to_json`.
+    """Lists of ints, such as the lattice's covers, for :func:`to_json`.
 
-    Each int is written from one table of ``size`` decimal strings.
+    Every int indexes the lists themselves, as a cover names a flat, so each
+    is written from one table of as many decimal strings as there are lists.
     """
 
-    __slots__ = ("lists", "size")
+    __slots__ = ("lists",)
 
-    def __init__(self, lists, size: int):
+    def __init__(self, lists):
         self.lists = lists
-        self.size = size
 
 
-def grouped(table, column, sep: str) -> list[str]:
-    """Per class id of ``column``, ascending, its entries of ``table`` joined by ``sep``."""
+def grouped(table: Sequence[str], column: Sequence[int], sep: str) -> list[str]:
+    """Per class id of ``column``, ascending, its entries of ``table`` joined by ``sep``.
+
+    The ids must run from 0 with none skipped, as class-id columns do.
+    """
     classes: list[list] = [[] for _ in range(max(column) + 1)]
     for cid, entry in zip(column, table):
         classes[cid].append(entry)
     return [*map(sep.join, classes)]
 
 
-def _member_lists(tokens, masks, pad: str, join) -> list[str]:
-    """Each mask's members from ``tokens`` as a JSON list at indent ``pad``."""
+def _member_lists(tokens, sets, pad: str, join=joined) -> list[str]:
+    """Each set's members from ``tokens`` as a JSON list at indent ``pad``.
+
+    ``join`` runs the members of ``sets``: :func:`matroid.joined` for masks,
+    :func:`grouped` for a class-id column.
+    """
     inner = pad + "  "
-    runs = join(tokens, masks, "," + inner)
+    runs = join(tokens, sets, "," + inner)
     # no token is empty, so a run is empty only for the empty mask
     return ["[" + inner + run + pad + "]" if run else "[]" for run in runs]
 
@@ -222,9 +246,10 @@ def to_json(value, pad: str = "\n") -> str:
     """``value`` written exactly as ``json.dumps(value, indent=2)`` writes it.
 
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
-    bools, None and the leaf classes above, each written in one pass, member
-    lists from ``GroundSet.tokens``.  ``pad`` is the newline and indent of
-    the level that holds ``value``.
+    bools, None, :class:`Members`, :class:`MemberLists`, :class:`Partition`
+    and :class:`Flats`, whose members are written from ``GroundSet.tokens``,
+    and :class:`IndexLists`; each leaf writes its list in one pass.  ``pad``
+    is the newline and indent of the level that holds ``value``.
     """
     kind = type(value)
     if kind is list or kind is tuple:
@@ -233,17 +258,19 @@ def to_json(value, pad: str = "\n") -> str:
     elif kind is Members:
         items = pick(value.ground.tokens, value.mask)
     elif kind is MemberLists:
-        items = _member_lists(value.ground.tokens, value.masks, pad + "  ", value.join)
+        items = _member_lists(value.ground.tokens, value.masks, pad + "  ")
+    elif kind is Partition:
+        items = _member_lists(value.ground.tokens, value.column, pad + "  ", grouped)
     elif kind is Flats:
         inner, deeper = pad + "  ", pad + "    "
         head, middle = "{" + deeper + '"members": ', "," + deeper + '"height": '
-        members = _member_lists(value.ground.tokens, value.masks, deeper, joined)
+        members = _member_lists(value.ground.tokens, value.masks, deeper)
         items = [
             head + m + middle + str(h) + inner + "}" for m, h in zip(members, value.heights)
         ]
     elif kind is IndexLists:
         inner, deeper = pad + "  ", pad + "    "
-        sep, names = "," + deeper, [*map(str, range(value.size))]
+        sep, names = "," + deeper, [*map(str, range(len(value.lists)))]
         items = [
             f"[{deeper}{sep.join(map(names.__getitem__, c))}{inner}]" if c else "[]"
             for c in value.lists
@@ -318,7 +345,7 @@ def cmd_lattice(args) -> int:
         doc = {
             "universe": Members(ground, ground.full_mask),
             "flats": Flats(ground, lattice.masks, lattice.heights),
-            "covers": IndexLists(lattice.covers, len(lattice.masks)),
+            "covers": IndexLists(lattice.covers),
             "bottom": lattice.bottom,
             "top": lattice.top,
             "covering": covering,
@@ -389,6 +416,7 @@ def cmd_infosys(args) -> int:
     else:  # the label predates the discernibility route
         method, route = "brute-force", system.discernibility_reduct_masks
     reducts = route(max_attributes=args.max_attrs)
+    columns = system.partition_columns
 
     if args.json:
         doc = {
@@ -396,8 +424,7 @@ def cmd_infosys(args) -> int:
             "attributes": Members(attributes, attributes.full_mask),
             "decision": args.decision,
             "partitions": {
-                a: MemberLists(objects, column, grouped)
-                for a, column in zip(system.attributes, system._columns.values())
+                a: Partition(objects, column) for a, column in zip(system.attributes, columns)
             },
             "attribute_blocks": MemberLists(attributes, system.quotient_masks),
             "condition_holds": condition,
@@ -411,7 +438,7 @@ def cmd_infosys(args) -> int:
     if args.decision is not None:
         lines.append(f"decision column: {args.decision} (excluded from reduction)")
     lines.append("partitions:")
-    columns = system._columns.values()  # equal columns, equal partitions
+    # equal columns, equal partitions: each distinct one is grouped once
     text = {c: "{" + "} {".join(grouped(objects.texts, c, ",")) + "}" for c in {*columns}}
     lines += [f"  {a}: {text[c]}" for a, c in zip(system.attributes, columns)]
     lines += [

@@ -95,19 +95,25 @@ class Covering:
         masks, shared = residue_masks(self.family.block_masks)
         masks.extend(bit for bit in self.ground.bits if bit & shared)
         masks.sort(reverse=True)  # atoms are disjoint, so ints give member order
-        return tuple(map(self.ground.subset_of, masks))
+        return tuple(self.ground.subset_of(m) for m in masks)
 
     def lower_approx(self, subset: Iterable) -> frozenset:
         """Elements whose whole class fits inside ``subset``."""
         mask = self.ground.mask_of(subset)
-        pairs = zip(self.ground.bits, self._singleton_closure_masks)
-        return self.ground.subset_of(sum(bit for bit, cls in pairs if cls & ~mask == 0))
+        out = 0
+        for bit, cls in zip(self.ground.bits, self._singleton_closure_masks):
+            if cls & ~mask == 0:
+                out |= bit
+        return self.ground.subset_of(out)
 
     def upper_approx(self, subset: Iterable) -> frozenset:
         """Elements whose class meets ``subset``."""
         mask = self.ground.mask_of(subset)
-        pairs = zip(self.ground.bits, self._singleton_closure_masks)
-        return self.ground.subset_of(sum(bit for bit, cls in pairs if cls & mask))
+        out = 0
+        for bit, cls in zip(self.ground.bits, self._singleton_closure_masks):
+            if cls & mask:
+                out |= bit
+        return self.ground.subset_of(out)
 
     def flat_is_union_of_closures(self, flat: Iterable) -> bool:
         """Check that a flat is the union of the classes of its elements."""

@@ -101,7 +101,7 @@ def minimal_hitting_sets(
     indices).  With no targets at all the empty set is the unique answer.
     """
     masks = minimal_hitting_masks([ground.mask_of(t) for t in targets])
-    return tuple(map(ground.subset_of, masks))
+    return tuple(ground.subset_of(m) for m in masks)
 
 
 def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
@@ -113,7 +113,8 @@ def minimal_hitting_masks(target_masks: Iterable[int]) -> list[int]:
     grown by each bit b of t, unless a kept hitter meets t in b alone and
     its other bits lie inside h.  That one-bit test is exact, since h misses
     t and the hitters so far form an antichain, so no two grown masks
-    coincide or nest.  Output is sorted by (size, member indices).  With no
+    coincide or nest.  Output is sorted by (size, member indices), which
+    under the ground's bit numbering is size, then descending int.  With no
     targets the empty mask is the unique answer.
     """
     targets = sorted(set(target_masks), key=int.bit_count)
@@ -157,4 +158,4 @@ def reducts_via_hyperplanes(matroid: TransversalMatroid) -> tuple[frozenset, ...
     """
     ground = matroid.ground
     masks = minimal_hitting_masks(ground.full_mask & ~h for h in matroid.hyperplane_masks())
-    return tuple(map(ground.subset_of, masks))
+    return tuple(ground.subset_of(m) for m in masks)

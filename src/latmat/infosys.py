@@ -2,16 +2,21 @@
 
 Objects are partitioned by agreement on attribute subsets; a reduct is a
 minimal subset inducing the same partition as the full attribute set.  Each
-attribute is kept as a column of class ids in first-occurrence order, so
-equal partitions give equal columns, and a partition is printed by grouping
-the objects by id.  When attribute subsets with equal partitions always
-saturate to the same blocks of the attribute quotient (attributes grouped by
-equal columns), the reducts are the minimal hitting sets of the quotient
-blocks; k + 1 class counts decide that condition for k blocks.  In general
-they are the minimal hitting sets of the discernibility matrix (Skowron &
-Rauszer, 1992), one attribute mask per pair of distinct rows, of which only
-the minimal ones, read off a vector of 2**m bits, reach the search of
-:mod:`latmat.dependence`.  A guarded power-set scan is the oracle of both.
+attribute is kept as a column of class ids numbered by first occurrence, so
+equal partitions give equal columns; :attr:`InformationSystem.partition_columns`
+hands them out, and the CLI prints each partition by grouping the objects
+by class id.  When attribute subsets with equal partitions always saturate
+to the same blocks of the attribute quotient (attributes grouped by equal
+single-attribute partitions), the reducts are exactly the minimal hitting
+sets of the quotient blocks, one attribute from each.  That condition is
+decided from the class counts of k + 1 attribute sets, k being the number of
+quotient blocks.  In general the reducts are the minimal hitting sets of the
+discernibility matrix (Skowron & Rauszer, 1992): one mask per pair of
+distinct rows, marking the attributes on which the two rows differ.  Only
+the minimal entries reach the search; when the entries are dense among the
+2**m attribute sets they are read off a vector of 2**m bits, otherwise a
+sorted scan drops the supersets.  Both routes run the hitting-set search of
+:mod:`latmat.dependence`; a guarded power-set scan is their oracle.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ class InformationSystem:
     Values are compared as opaque tokens; no coercion is attempted, so
     "1" and 1 are different values.  Missing cells are rejected.
     Attribute and object subsets are bitmasks of ``attribute_ground`` and
-    ``object_ground``; mask-level reduct lists come in (size, attribute
-    indices) order, and the element-level methods wrap them.
+    ``object_ground``, built from their ``bits``; the mask-level reduct lists
+    come in (size, attribute indices) order, which is size, then descending
+    int.  The element-level methods wrap the mask-level ones.
     """
 
     def __init__(self, objects: Iterable, attributes: Iterable, rows: Iterable[Iterable]):
@@ -63,8 +69,9 @@ class InformationSystem:
             raise ValueError("duplicate attribute identifiers")
         if len(rows) != len(objects):
             raise ValueError(f"expected {len(objects)} rows, got {len(rows)}")
-        # per attribute bit, in attribute order, the values numbered by first
-        # occurrence: equal partitions give equal columns
+        # canonical per-attribute columns, in attribute order: value tokens
+        # replaced by class ids in first-occurrence order, so equal
+        # partitions give equal columns
         columns, values = [], []
         for column in zip(*rows):
             ids: dict = {}
@@ -83,6 +90,7 @@ class InformationSystem:
         self.rows = rows
         self.attribute_ground = GroundSet(attributes)
         self.object_ground = GroundSet(objects)
+        # keyed by the attribute's bit
         self._columns = dict(zip(self.attribute_ground.bits, columns))
 
     def _cap_attributes(self, what: str, max_attributes: int) -> int:
@@ -116,6 +124,16 @@ class InformationSystem:
         attribute subsets induce the same partition iff their keys are equal.
         """
         return self._partition_key_of_mask(self._attribute_mask(attrs))
+
+    @property
+    def partition_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per attribute, in attribute order, its partition as a class-id column.
+
+        Entry i is the class of ``objects[i]``; ids are numbered from 0 in
+        order of first occurrence, so they run in the block order of
+        :meth:`partition_masks`, and equal partitions give equal columns.
+        """
+        return tuple(self._columns.values())
 
     def partition_masks(self, attr_mask: int) -> tuple[int, ...]:
         """Object masks of the partition induced by ``attr_mask``.
@@ -167,11 +185,14 @@ class InformationSystem:
     def check_saturation_condition(self) -> bool:
         """True when equal partitions always force equal saturations.
 
-        Every attribute set induces the partition of its saturation, so this
-        fails iff dropping some block's representative from a set R of one
-        representative per block leaves the partition of R unchanged.  That
-        only coarsens it, so k + 1 class counts decide it for k blocks; the
-        empty set has one class.
+        Every attribute set induces the partition of its saturation, so the
+        condition holds iff distinct unions of quotient blocks induce
+        distinct partitions.  That fails iff dropping some block's
+        representative from a set R of one representative per block leaves
+        the partition of R unchanged.  Dropping an attribute can only
+        coarsen a partition, so it is unchanged iff its number of classes
+        is, and k + 1 class counts decide the condition for k blocks.  The
+        empty attribute set has one class, not zero.
         """
         columns = [*dict.fromkeys(self._columns.values())]  # one per block
         full = len(set(zip(*columns)))
@@ -185,9 +206,10 @@ class InformationSystem:
     def quotient_reduct_masks(self, *, max_attributes: int = 15) -> list[int]:
         """Minimal hitting sets of the quotient blocks: the quotient rule.
 
-        The blocks are disjoint, so each reduct picks one attribute per
-        block.  Valid only when :meth:`check_saturation_condition` holds,
-        which callers check first.  Output sorted by (size, attribute
+        The blocks are disjoint, so the hitters are the selections of one
+        attribute from each block, and their number is the product of the
+        block sizes.  Valid only when :meth:`check_saturation_condition`
+        holds, which callers check first.  Output sorted by (size, attribute
         indices).
         """
         self._cap_attributes("quotient rule", max_attributes)
@@ -210,36 +232,51 @@ class InformationSystem:
     def discernibility_reduct_masks(self, *, max_attributes: int = 20) -> list[int]:
         """Minimal hitting sets of the nonempty discernibility-matrix entries.
 
-        A subset keeps the full partition iff it meets the mask of
-        attributes on which each pair of distinct rows differs.  Output and
-        guard as in :meth:`brute_force_reducts`.
+        An attribute subset keeps the full partition iff it separates every
+        pair of distinct rows, i.e. meets the mask of attributes on which
+        the two rows differ.  Equal rows add no entry.  Output sorted by
+        (size, attribute indices), the order of :meth:`brute_force_reducts`;
+        guarded by ``max_attributes`` like it.  Time and memory stay
+        polynomial in the rows and m, however large ``max_attributes``.
         """
         m = self._cap_attributes("discernibility reduct search", max_attributes)
-        # Distinct rows are packed into fields of step bits: attribute j in
-        # field m - 1 - j, the position of its bit, class id in the low w.
-        # Adding 2**w - 1 to each field of u ^ v carries into bit w iff u
-        # and v differ there, never further.
-        columns = self._columns.values()
-        w = max(map(max, columns)).bit_length()
+        # Each distinct row is packed into one int with a field of step bits
+        # per attribute, placed at the attribute's bit position, its class id
+        # in the low w bits.  Adding 2**w - 1 to every field of u ^ v carries
+        # into the field's bit w iff rows u and v differ on that attribute,
+        # and never into the next field.
+        w = max(map(max, self._columns.values())).bit_length()
         step = max(w + 1, m)
         rows = [0] * len(self.objects)
-        for column in columns:
-            rows = [r << step | c for r, c in zip(rows, column)]
+        for bit, column in self._columns.items():
+            at = (bit.bit_length() - 1) * step
+            rows = [r | c << at for r, c in zip(rows, column)]
         rows = [*set(rows)]
         low = sum(1 << f * step for f in range(m))
         fill, top = low * ((1 << w) - 1), low << w
         entries = {((u ^ v) + fill) & top for a, u in enumerate(rows) for v in rows[:a]}
         # One multiply moves bit w of field f to bit f of the m-bit window at
-        # (m - 1)(step - 1) + w: step >= m, so no partial products meet.
+        # (m - 1)(step - 1) + w, which is the attribute mask: step >= m, so
+        # no two partial products meet.
         spread = sum(1 << k * (step - 1) for k in range(m))
         shift, full = (m - 1) * (step - 1) + w, (1 << m) - 1
-        vector = sum(1 << (e * spread >> shift & full) for e in entries)
-        # An entry above another constrains nothing further.  Grown by one
-        # attribute at a time, ``above`` holds the sets strictly above one.
-        above = 0
-        for a, lack in enumerate(lacks(m)):
-            above |= ((vector | above) & lack) << (1 << a)
-        return minimal_hitting_masks(vector_sets(vector & ~above))
+        masks = [e * spread >> shift & full for e in entries]
+        # An entry above another constrains nothing further.  When the
+        # entries fill a sixteenth of the 2**m sets, they are read off a
+        # vector of 2**m bits, whose strict up-closure ``above`` is grown by
+        # one attribute at a time; sparser entries would make that vector
+        # exponential in m, so a scan by size keeps those not above a kept one.
+        if 1 << m <= 16 * len(masks):
+            vector = sum(1 << mask for mask in masks)
+            above = 0
+            for a, lack in enumerate(lacks(m)):
+                above |= ((vector | above) & lack) << (1 << a)
+            return minimal_hitting_masks(vector_sets(vector & ~above))
+        kept: list[int] = []
+        for mask in sorted(masks, key=int.bit_count):
+            if all(k & ~mask for k in kept):
+                kept.append(mask)
+        return minimal_hitting_masks(kept)
 
     def discernibility_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
         """Frozenset form of :meth:`discernibility_reduct_masks`, same order."""
@@ -249,9 +286,9 @@ class InformationSystem:
     def brute_force_reducts(self, *, max_attributes: int = 20) -> tuple[frozenset, ...]:
         """Inclusion-minimal attribute subsets preserving the full partition.
 
-        Exhaustive 2**m scan in (size, attribute indices) order, skipping
-        supersets of a kept reduct; the oracle of the other routes, guarded
-        by ``max_attributes``.
+        Exhaustive 2**m scan in (size, attribute indices) order; supersets of
+        an already kept reduct are skipped.  The oracle for the quotient rule and for
+        :meth:`discernibility_reducts`, guarded by ``max_attributes``.
         """
         m = self._cap_attributes("brute-force reduct scan", max_attributes)
         full_key = self._partition_key_of_mask(self.attribute_ground.full_mask)

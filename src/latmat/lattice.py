@@ -2,13 +2,13 @@
 
 Meet is intersection, join is the least flat containing the union, and the
 height of a flat equals its matroid rank, which makes the lattice graded.
-Once built it answers order queries without the inducing matroid.
+The structure is self-contained: once built it answers order queries without
+the inducing matroid.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple
 
 from .errors import NotAFlatError
@@ -60,7 +60,7 @@ class GeometricLattice:
     @cached_property
     def flats(self) -> tuple[frozenset, ...]:
         """Every flat as a frozenset of elements, built on first use."""
-        return tuple(map(self.ground.subset_of, self.masks))
+        return tuple(self.ground.subset_of(m) for m in self.masks)
 
     @cached_property
     def _position(self) -> dict[int, int]:
@@ -120,29 +120,41 @@ class GeometricLattice:
         Raises ``NotAFlatError`` when a meet or join is not a member, i.e.
         the masks are not closed under intersection.
         """
-        masks, heights, index = self.masks, self.heights, self._index
-        subset_of = self.ground.subset_of
-        atom_masks = [m for m, h in zip(masks, heights) if h == 1]
-        atomicity_failure = semimodularity_failure = None
-        for mask in masks:
+        atom_masks = [m for m, h in zip(self.masks, self.heights) if h == 1]
+        atomic = True
+        atomicity_failure = None
+        for mask in self.masks:
             below = 0
             for am in atom_masks:
                 if am & ~mask == 0:
                     below |= am
             if self._closed_hull(below) != mask:
-                atomicity_failure = subset_of(mask)
+                atomic = False
+                atomicity_failure = self.ground.subset_of(mask)
                 break
-        for i, j in combinations_with_replacement(range(len(masks)), 2):
-            meet_h = heights[index(masks[i] & masks[j])]
-            join_h = heights[index(self._closed_hull(masks[i] | masks[j]))]
-            if heights[i] + heights[j] < join_h + meet_h:
-                semimodularity_failure = (subset_of(masks[i]), subset_of(masks[j]))
+
+        semimodular = True
+        semimodularity_failure = None
+        masks = self.masks
+        for i in range(len(masks)):
+            for j in range(i, len(masks)):
+                meet_h = self.heights[self._index(masks[i] & masks[j])]
+                join_h = self.heights[self._index(self._closed_hull(masks[i] | masks[j]))]
+                if self.heights[i] + self.heights[j] < join_h + meet_h:
+                    semimodular = False
+                    semimodularity_failure = (
+                        self.ground.subset_of(masks[i]),
+                        self.ground.subset_of(masks[j]),
+                    )
+                    break
+            if not semimodular:
                 break
+
         return GeometricityReport(
-            atomicity_failure is None,
-            semimodularity_failure is None,
-            atomicity_failure,
-            semimodularity_failure,
+            atomic=atomic,
+            semimodular=semimodular,
+            atomicity_failure=atomicity_failure,
+            semimodularity_failure=semimodularity_failure,
         )
 
     # rendering ------------------------------------------------------------

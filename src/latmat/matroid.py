@@ -2,18 +2,19 @@
 
 A family of nonempty blocks over a finite ground set induces a matroid whose
 independent sets are the partial transversals of the family: the subsets that
-can be matched injectively into blocks containing them.  Rank is a maximum
-matching size, taken over the r blocks that one maximum matching of the
-ground uses: they present the same matroid (Oxley, *Matroid Theory*, 1.6).
-One breadth-first sweep over a matching, the alternating forest of Kuhn's
-method, gives the closure and the blocks along which one walk back matches
-any element outside it.  The flats are the loops plus sets of atoms, read
-with their ranks off bit vectors indexed by atom sets; their Hasse covers
-are built only when read.  Subsets are bitmasks in which element i of n is
-bit n - 1 - i, so every canonical (size, members) order is a plain int sort.
-Beyond this module only the discernibility gather of :mod:`latmat.infosys`
-reads that numbering; other code takes bits from ``GroundSet.bits``, and
-members from :func:`pick` or, for a list of masks, :func:`joined`.
+can be matched injectively into blocks containing them.  Rank is therefore a
+maximum bipartite matching size, taken over the r blocks that one maximum
+matching of the ground uses: they present the same matroid (Oxley, *Matroid
+Theory*, 1.6).  One breadth-first sweep over a matching, the alternating
+forest of Kuhn's method, gives the closure and the blocks visited, along which
+one walk back matches any element outside it.  The flats are the loops plus
+sets of atoms, read with their ranks off bit vectors indexed by atom sets;
+their Hasse covers are built only when read.  All subset arithmetic runs on
+bitmasks in which element i of an n-element ground is bit n - 1 - i, so for
+masks of one size ascending member tuples are descending ints: every
+canonical (size, members) order is a plain int sort.  Only this module reads
+that numbering; other code takes bits from ``GroundSet.bits``, and members
+from :func:`pick` or, for a list of masks, :func:`joined`.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ def _runs(pieces: Sequence[str]) -> list[str]:
 def joined(table: Sequence[str], masks: Sequence[int], sep: str) -> list[str]:
     """``sep.join(pick(table, mask))`` for each mask of ``masks``.
 
-    For an n-entry table and h = n // 2, two half tables of 2**h and
-    2**(n - h) runs of separator-prefixed entries give each mask as
-    ``high[mask >> h] + low[mask & (2**h - 1)]``, the first separator cut.
-    A run costs about one member walked through :func:`pick`, and a table
-    entry two more, so a list with fewer members than the runs plus 2n is
-    walked.  Either way a negative mask, or one with a bit at or above n,
-    raises ``IndexError``.
+    For an n-entry table and h = n // 2, a long list is read from two half
+    tables: each mask is ``high[mask >> h] + low[mask & (2**h - 1)]``, runs
+    of separator-prefixed entries, with the leading separator cut.  Building
+    a run costs about as much as walking one member through :func:`pick`,
+    and each table entry about two more, so a list with fewer members than
+    the 2**h + 2**(n - h) runs plus 2n walks each mask through :func:`pick`,
+    uncounted when its length times n falls short.  Either way a negative
+    mask, or one with a bit at or above n, raises ``IndexError``.
     """
     n = len(table)
     h = n // 2
@@ -245,12 +247,13 @@ class TransversalMatroid:
 
     Rank is the size of a maximum matching of elements into blocks containing
     them; the blocks one matching of the ground uses, in family order, are
-    the presentation every later sweep runs over.  A sweep over a matching
-    reaches the blocks unmatched or owned by an element of one; the closure
-    adds every element they miss, and each element they hold is matched by
-    one walk back.  The flats cost r + p vectors of 2**p bits for p <= n
-    atoms, computed once: 8 KB each at most on 16 elements, but wider
-    low-rank matroids pay for all 2**p atom sets however few their flats.
+    the presentation every later sweep runs over, and ``family`` stays as
+    given.  A sweep over a matching reaches the free-reaching blocks, those
+    unmatched or owned by an element of one; the closure adds every element
+    they miss, and each element they hold is matched by one walk back.  The
+    flats cost r + p vectors of 2**p bits for p <= n atoms, computed once: at
+    most 8 KB each on 16 elements, but wider low-rank matroids pay for all
+    2**p atom sets however few their flats.  Covers are built only when read.
     """
 
     def __init__(self, family: SetFamily):
@@ -337,7 +340,7 @@ class TransversalMatroid:
         if self._vectors is None:
             residues, shared = residue_masks(self._blocks)
             atoms = sorted(residues + [1 << i for i in iter_bits(shared)])
-            lacking = lacks(len(atoms))
+            lacking = lacks(len(atoms))  # lacking[a]: the sets without atom a
             ind = [1] + [0] * self.ground_rank  # ind[k]: the independent k-sets
             for done, block in enumerate(self._blocks):
                 held = [a for a, atom in enumerate(atoms) if atom & block]
@@ -371,7 +374,8 @@ class TransversalMatroid:
         """All closed sets, sorted by (rank, member indices); no cover is built.
 
         Each flat is the loops and a set of atoms (Oxley, *Matroid Theory*,
-        1.7); each rank's atom sets are kept for :meth:`flat_covers`.
+        1.7), and a rank's flats are listed by member indices as descending
+        ints.  Each rank's atom sets are kept for :meth:`flat_covers`.
         """
         if self._flat_record is None:
             masks, ranks, levels = [], [], []
@@ -460,11 +464,11 @@ class TransversalMatroid:
 
     def flats(self) -> tuple[frozenset, ...]:
         """Every closed set, in deterministic (rank, member) order."""
-        return tuple(map(self.ground.subset_of, self.flat_masks()))
+        return tuple(self.ground.subset_of(m) for m in self.flat_masks())
 
     def hyperplanes(self) -> tuple[frozenset, ...]:
         """Closed sets of rank one below the ground rank."""
-        return tuple(map(self.ground.subset_of, self.hyperplane_masks()))
+        return tuple(self.ground.subset_of(m) for m in self.hyperplane_masks())
 
     def closure_via_hyperplanes(self, subset: Iterable) -> frozenset:
         """Closure computed as an intersection of enclosing hyperplanes.

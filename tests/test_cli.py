@@ -28,6 +28,7 @@ from latmat.cli import (
     IndexLists,
     MemberLists,
     Members,
+    Partition,
     build_parser,
     grouped,
     load_covering_document,
@@ -356,10 +357,12 @@ def test_load_table_names_the_first_bad_row(tmp_path, text, message):
 @settings(max_examples=60, deadline=None)
 def test_grouped_partitions_match_partition_masks(system):
     texts, tokens = system.object_ground.texts, system.object_ground.tokens
-    for bit, column in system._columns.items():
+    columns = system.partition_columns
+    assert columns == tuple(system.partition_key([a]) for a in system.attributes)
+    for bit, column in zip(system.attribute_ground.bits, columns):
         blocks = system.partition_masks(bit)
         assert grouped(texts, column, ",") == joined(texts, blocks, ",")
-        assert to_json(MemberLists(system.object_ground, column, grouped)) == to_json(
+        assert to_json(Partition(system.object_ground, column)) == to_json(
             MemberLists(system.object_ground, blocks)
         )
         assert len(grouped(tokens, column, ", ")) == len(blocks)
@@ -875,13 +878,19 @@ def test_to_json_writes_members_from_tokens(elements, drawn):
     assert to_json(flats) == json.dumps(plain_flats, indent=2)
 
 
-@given(st.lists(st.lists(st.integers(0, 200), max_size=4).map(tuple), max_size=5))
+@given(
+    st.integers(0, 14).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, max(n - 1, 0)), max_size=4).map(tuple), min_size=n, max_size=n
+        )
+    )
+)
 @settings(max_examples=100, deadline=None)
 @example([])
-@example([(), (3, 10, 11), (), (127,)])
+@example([(), (3, 10, 11), (), (1,), (), (), (), (), (), (), (), ()])
 def test_to_json_writes_index_lists(covers):
     # the lattice's covers: tuples of flat indices, the top flat's empty
-    lists = IndexLists(covers, 1 + max(map(max, filter(None, covers)), default=-1))
+    lists = IndexLists(covers)
     expected = [list(c) for c in covers]
     assert to_json(lists) == json.dumps(expected, indent=2)
     assert to_json({"covers": lists, "nested": [lists, {"deeper": lists}]}) == json.dumps(

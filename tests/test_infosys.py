@@ -1,5 +1,7 @@
 """Information tables: partitions, attribute quotient, condition, reducts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,7 @@ from latmat import (
     UnknownElementError,
     infosys,
 )
+from latmat.dependence import minimal_hitting_masks
 from strategies import information_systems, saturated_systems
 
 # found by exhausting all 3x3 binary tables; any two attribute pairs induce
@@ -398,30 +401,59 @@ def test_discernibility_reducts_match_brute_force(system):
 
 def test_discernibility_gather_matches_brute_force_on_wide_values(monkeypatch):
     # class ids of w bits pack into fields of max(w + 1, m) bits: draw
-    # tables where w + 1 > m and tables where m >= w + 1
-    cases, fed = set(), []
-    search = infosys.minimal_hitting_masks
+    # tables where w + 1 > m and tables where m >= w + 1, and tables whose
+    # entries are dense enough for the 2**m vector and sparse ones scanned
+    widths, routes, fed, vectors = set(), set(), [], []
+    search, lacks = infosys.minimal_hitting_masks, infosys.lacks
 
     def record(targets):
         fed.append(list(targets))
         return search(fed[-1])
 
+    def count(m):
+        vectors.append(m)
+        return lacks(m)
+
     monkeypatch.setattr(infosys, "minimal_hitting_masks", record)
+    monkeypatch.setattr(infosys, "lacks", count)
 
     @given(information_systems(max_objects=40, max_attributes=12, max_values=40))
     @settings(max_examples=80, deadline=None)
     def check(system):
-        w = max(map(max, system._columns.values())).bit_length()
-        cases.add(w + 1 > len(system.attributes))
+        w = max(map(max, system.partition_columns)).bit_length()
+        widths.add(w + 1 > len(system.attributes))
         fed.clear()
+        vectors.clear()
         assert system.discernibility_reducts() == system.brute_force_reducts()
+        routes.add(bool(vectors))
         # only the minimal entries reach the search
         (targets,) = fed
         assert len(set(targets)) == len(targets)
         assert all(a & ~b for a in targets for b in targets if a != b)
 
     check()
-    assert cases == {False, True}
+    assert widths == {False, True}
+    assert routes == {False, True}
+
+
+def test_discernibility_stays_polynomial_in_many_attributes(monkeypatch):
+    # 40 attributes over 6 rows: a vector of 2**40 bits is never built
+    def refuse(m):
+        raise AssertionError(f"a vector of 2**{m} bits")
+
+    monkeypatch.setattr(infosys, "lacks", refuse)
+    rng = random.Random(40)
+    attributes = [f"a{j}" for j in range(40)]
+    rows = [[rng.randrange(3) for _ in attributes] for _ in range(6)]
+    system = InformationSystem(range(6), attributes, rows)
+    entries = [
+        system.attribute_ground.mask_of(a for a, x, y in zip(attributes, u, v) if x != y)
+        for i, u in enumerate(rows)
+        for v in rows[:i]
+    ]
+    expected = minimal_hitting_masks(entries)
+    assert len(expected) > 1
+    assert system.discernibility_reduct_masks(max_attributes=40) == expected
 
 
 @given(information_systems())
