@@ -3,14 +3,14 @@
 Coverings and families arrive as JSON documents with ``universe`` and
 ``blocks`` keys; information tables arrive as CSV with attribute names in the
 header row and object names in the first column.  All outputs are
-byte-deterministic for identical inputs.  Every output is rendered through
-the token tables of ``GroundSet`` and written with one
-``sys.stdout.write``; ``--json`` documents go through one writer,
-:func:`to_json`.  Each list of masks is joined by ``matroid.joined``: a
-list with more members than two half tables of the ground's entries cost
-to build is read from those tables, two lookups a mask, and a shorter one
-walks each mask through ``matroid.pick``.  A table's partitions are not
-masks: each is grouped from its class-id column by :func:`grouped`.
+byte-deterministic for identical inputs.  Each command returns its whole
+stdout, rendered through the texts and tokens of ``GroundSet``, and
+:func:`main` writes it with one ``sys.stdout.write``; ``--json`` documents
+go through one writer, :func:`to_json`.  Each list of masks is joined by
+``matroid.joined``: a list with more members than two half tables of the
+ground's entries cost to build is read from those tables, two lookups a
+mask, and a shorter one walks each mask through ``matroid.pick``.  A
+table's partitions are grouped from class-id columns by :func:`grouped`.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
@@ -31,7 +31,7 @@ from .covering import check_covering_equivalences, is_covering
 from .errors import CapacityError, DocumentError, LatmatError
 from .infosys import InformationSystem
 from .lattice import build_lattice
-from .matroid import GroundSet, SetFamily, TransversalMatroid, joined, labels, pick
+from .matroid import GroundSet, SetFamily, TransversalMatroid, joined, labels
 
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_ATTRIBUTES = 15
@@ -106,11 +106,12 @@ def load_table_document(path: str, decision: str | None = None) -> InformationSy
     attribute names.  Each following row: object name, then one value per
     attribute.  The rows are read column by column: cells are stripped and
     empty cells are rejected, and only a table that fails a check is scanned
-    row by row, to name its first bad row.  The column named ``decision`` is
-    set aside: relative reducts are out of scope, so reduction runs over the
-    condition attributes left.
+    row by row, to name the line on which its first bad row starts.  The
+    column named ``decision`` is set aside: relative reducts are out of
+    scope, so reduction runs over the condition attributes left.
     """
-    reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    text = _read_text(path, newline="")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         raw = [row for row in reader if row]
     except csv.Error as exc:
@@ -132,7 +133,13 @@ def load_table_document(path: str, decision: str | None = None) -> InformationSy
     body = raw[1:]
     columns = [[*map(str.strip, column)] for column in zip(*body)]
     if {*map(len, body)} != {len(header)} or not all(map(all, columns)):
-        for lineno, row in enumerate(body, start=2):  # name the first bad row
+        # name the line a record starts on: blank lines and quoted newlines shift it
+        reader, starts, end = csv.reader(io.StringIO(text, newline="")), [], 0
+        for row in reader:
+            if row:
+                starts.append(end + 1)
+            end = reader.line_num
+        for lineno, row in zip(starts[1:], body):
             if len(row) != len(header):
                 raise DocumentError(
                     f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
@@ -154,16 +161,6 @@ def load_table_document(path: str, decision: str | None = None) -> InformationSy
 
 # ---------------------------------------------------------------------------
 # rendering helpers
-
-
-class Members:
-    """A mask of ``ground`` that :func:`to_json` writes as the list of its members."""
-
-    __slots__ = ("ground", "mask")
-
-    def __init__(self, ground: GroundSet, mask: int):
-        self.ground = ground
-        self.mask = mask
 
 
 class MemberLists:
@@ -246,17 +243,15 @@ def to_json(value, pad: str = "\n") -> str:
     """``value`` written exactly as ``json.dumps(value, indent=2)`` writes it.
 
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
-    bools, None, :class:`Members`, :class:`MemberLists`, :class:`Partition`
-    and :class:`Flats`, whose members are written from ``GroundSet.tokens``,
-    and :class:`IndexLists`; each leaf writes its list in one pass.  ``pad``
+    bools, None, :class:`MemberLists`, :class:`Partition` and :class:`Flats`,
+    whose members are written from ``GroundSet.tokens``, and
+    :class:`IndexLists`; each leaf writes its list in one pass.  ``pad``
     is the newline and indent of the level that holds ``value``.
     """
     kind = type(value)
     if kind is list or kind is tuple:
         inner = pad + "  "
         items = [to_json(v, inner) for v in value]
-    elif kind is Members:
-        items = pick(value.ground.tokens, value.mask)
     elif kind is MemberLists:
         items = _member_lists(value.ground.tokens, value.masks, pad + "  ")
     elif kind is Partition:
@@ -304,11 +299,6 @@ def fmt_many(ground: GroundSet, masks: Sequence[int]) -> str:
     return " ".join(labels(ground.texts, masks))
 
 
-def _write(lines: list[str]) -> None:
-    """The whole of a command's stdout in one write, a newline after each line."""
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -328,7 +318,7 @@ def _load_matroid(args) -> TransversalMatroid:
     return TransversalMatroid(family)
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> str:
     matroid = _load_matroid(args)
     family, ground = matroid.family, matroid.ground
     covering = is_covering(family)
@@ -336,14 +326,13 @@ def cmd_lattice(args) -> int:
         print("warning: family is not a covering of the universe", file=sys.stderr)
 
     if args.dot:
-        sys.stdout.write(build_lattice(matroid).to_dot())
-        return 0
+        return build_lattice(matroid).to_dot()
     checks = {} if covering else check_covering_equivalences(matroid)._asdict()
 
     if args.json:
         lattice = build_lattice(matroid)
         doc = {
-            "universe": Members(ground, ground.full_mask),
+            "universe": ground.elements,
             "flats": Flats(ground, lattice.masks, lattice.heights),
             "covers": IndexLists(lattice.covers),
             "bottom": lattice.bottom,
@@ -352,8 +341,7 @@ def cmd_lattice(args) -> int:
         }
         if checks:
             doc["covering_checks"] = checks
-        _write([to_json(doc)])
-        return 0
+        return to_json(doc) + "\n"
 
     rows: dict[int, list[int]] = {}  # heights ascend in canonical order
     for mask, height in zip(matroid.flat_masks(), matroid.flat_ranks()):
@@ -374,11 +362,10 @@ def cmd_lattice(args) -> int:
             "covering checks: "
             + " ".join(f"{name.replace('_', '-')}={_yesno(flag)}" for name, flag in checks.items())
         )
-    _write(lines)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_reducts(args) -> int:
+def cmd_reducts(args) -> str:
     matroid = _load_matroid(args)
     ground = matroid.ground
     hyperplanes = matroid.hyperplane_masks()
@@ -387,27 +374,26 @@ def cmd_reducts(args) -> int:
 
     if args.json:
         doc = {
-            "universe": Members(ground, ground.full_mask),
+            "universe": ground.elements,
             "rank": matroid.ground_rank,
             "hyperplanes": MemberLists(ground, hyperplanes),
             "complements": MemberLists(ground, complements),
             "reducts": MemberLists(ground, reducts),
         }
-        _write([to_json(doc)])
-        return 0
+        return to_json(doc) + "\n"
 
-    _write([
+    lines = [
         "universe: " + " ".join(ground.texts),
         f"rank: {matroid.ground_rank}",
         f"hyperplanes ({len(hyperplanes)}): " + fmt_many(ground, hyperplanes),
         f"complements ({len(complements)}): " + fmt_many(ground, complements),
         f"reducts ({len(reducts)}):",
         *["  " + label for label in labels(ground.texts, reducts)],
-    ])
-    return 0
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_infosys(args) -> int:
+def cmd_infosys(args) -> str:
     system = load_table_document(args.path, args.decision)
     attributes, objects = system.attribute_ground, system.object_ground
     condition = system.check_saturation_condition()
@@ -420,8 +406,8 @@ def cmd_infosys(args) -> int:
 
     if args.json:
         doc = {
-            "objects": Members(objects, objects.full_mask),
-            "attributes": Members(attributes, attributes.full_mask),
+            "objects": objects.elements,
+            "attributes": attributes.elements,
             "decision": args.decision,
             "partitions": {
                 a: Partition(objects, column) for a, column in zip(system.attributes, columns)
@@ -431,8 +417,7 @@ def cmd_infosys(args) -> int:
             "method": method,
             "reducts": MemberLists(attributes, reducts),
         }
-        _write([to_json(doc)])
-        return 0
+        return to_json(doc) + "\n"
 
     lines = ["objects: " + " ".join(objects.texts), "attributes: " + " ".join(attributes.texts)]
     if args.decision is not None:
@@ -449,8 +434,7 @@ def cmd_infosys(args) -> int:
         lines.append("note: condition fails; falling back to brute-force reducts")
     lines.append(f"reducts ({len(reducts)}) via {method}:")
     lines += ["  " + label for label in labels(attributes.texts, reducts)]
-    _write(lines)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.write(args.func(args))
+        return 0
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))

@@ -8,8 +8,9 @@ matching of the ground uses: they present the same matroid (Oxley, *Matroid
 Theory*, 1.6).  One breadth-first sweep over a matching, the alternating
 forest of Kuhn's method, gives the closure and the blocks visited, along which
 one walk back matches any element outside it.  The flats are the loops plus
-sets of atoms, read with their ranks off bit vectors indexed by atom sets;
-their Hasse covers are built only when read.  All subset arithmetic runs on
+sets of atoms, read with their ranks into one record off bit vectors indexed
+by atom sets; the hyperplanes are its rank r - 1 slice, and the Hasse covers
+are built from its atom sets only when read.  All subset arithmetic runs on
 bitmasks in which element i of an n-element ground is bit n - 1 - i, so for
 masks of one size ascending member tuples are descending ints: every
 canonical (size, members) order is a plain int sort.  Only this module reads
@@ -250,17 +251,17 @@ class TransversalMatroid:
     the presentation every later sweep runs over, and ``family`` stays as
     given.  A sweep over a matching reaches the free-reaching blocks, those
     unmatched or owned by an element of one; the closure adds every element
-    they miss, and each element they hold is matched by one walk back.  The
-    flats cost r + p vectors of 2**p bits for p <= n atoms, computed once: at
-    most 8 KB each on 16 elements, but wider low-rank matroids pay for all
-    2**p atom sets however few their flats.  Covers are built only when read.
+    they miss, and each element they hold is matched by one walk back.  One
+    flat record, whose rank r - 1 slice is the hyperplanes, is read once off
+    r + p vectors of 2**p bits for p <= n atoms: 8 KB each on 16 elements,
+    but wide low-rank matroids pay for all 2**p atom sets.  Covers are built
+    only when read.
     """
 
     def __init__(self, family: SetFamily):
         self.family = family
         self.ground = family.ground
-        self._vectors: tuple | None = None  # the record of _flat_vectors
-        self._flat_record: tuple | None = None  # (masks, ranks, atom sets per rank)
+        self._flat_record: tuple | None = None  # (masks, ranks, atom sets per rank, atoms)
         self._covers: tuple | None = None  # built by flat_covers alone
         self._blocks = family.block_masks  # until the ground's matching picks r of them
         owner = self._matching(self.ground.full_mask)[0]
@@ -325,19 +326,22 @@ class TransversalMatroid:
     def closure_mask(self, mask: int) -> int:
         return mask | self._closed(*self._matching(mask))[0]
 
-    def _flat_vectors(self) -> tuple:
-        """The p atoms, ascending, per rank the vector of its flats, and two tables.
+    def flat_masks(self) -> tuple[int, ...]:
+        """All closed sets, sorted by (rank, member indices); no cover is built.
 
-        Over the presented blocks, the elements whose only block is j form
-        one atom and an element in two or more is an atom alone.  Atom a is
-        the a-th by top element, so atom sets compare as the flats they span.
-        Bit S of a vector of 2**p bits stands for atom set S: the independent
-        sets grow by size, one block at a time, each size up-closes into the
-        sets of at least that rank, and a set of rank k is a flat iff no atom
-        added to it keeps rank k.  The flat of S, loops included, is
-        ``high[S >> p // 2] | low[S & (2 ** (p // 2) - 1)]``.
+        Each flat is the loops and a set of atoms (Oxley, *Matroid Theory*,
+        1.7).  Over the presented blocks, the elements whose only block is j
+        form one atom and an element in two or more is an atom alone; atom a
+        is the a-th by top element, so atom sets compare as the flats they
+        span.  Bit S of a vector of 2**p bits stands for atom set S: the
+        independent sets grow by size, one block at a time, each size
+        up-closes into the sets of at least that rank, and a set of rank k is
+        a flat iff no atom added to it keeps rank k.  The flat of S, loops
+        included, is ``high[S >> p // 2] | low[S & (2 ** (p // 2) - 1)]``.
+        Kept: the masks, their ranks, each rank's atom sets, descending, and
+        the atoms; the vectors and tables are dropped.
         """
-        if self._vectors is None:
+        if self._flat_record is None:
             residues, shared = residue_masks(self._blocks)
             atoms = sorted(residues + [1 << i for i in iter_bits(shared)])
             lacking = lacks(len(atoms))  # lacking[a]: the sets without atom a
@@ -354,37 +358,17 @@ class TransversalMatroid:
                 exact, above, kept = vector & ~above, vector, 0
                 for a, lack in enumerate(lacking):
                     kept |= exact >> (1 << a) & lack
-                levels.insert(0, exact & ~kept)
+                levels.insert(0, vector_sets(exact & ~kept))
             h = len(atoms) // 2
             low, high = [self.ground.full_mask & ~sum(atoms)], [0]
             for table, half in ((low, atoms[:h]), (high, atoms[h:])):
                 for atom in half:
                     table += [*map(atom.__or__, table)]
-            self._vectors = atoms, levels, high, low
-        return self._vectors
-
-    def _flat_sets(self, rank: int) -> tuple[list[int], list[int]]:
-        """The atom sets of the flats of ``rank``, descending, and the flats."""
-        atoms, levels, high, low = self._flat_vectors()
-        sets, h = vector_sets(levels[rank]), len(atoms) // 2
-        part = (1 << h) - 1
-        return sets, [high[s >> h] | low[s & part] for s in sets]
-
-    def flat_masks(self) -> tuple[int, ...]:
-        """All closed sets, sorted by (rank, member indices); no cover is built.
-
-        Each flat is the loops and a set of atoms (Oxley, *Matroid Theory*,
-        1.7), and a rank's flats are listed by member indices as descending
-        ints.  Each rank's atom sets are kept for :meth:`flat_covers`.
-        """
-        if self._flat_record is None:
-            masks, ranks, levels = [], [], []
-            for rank in range(self.ground_rank + 1):
-                sets, flats = self._flat_sets(rank)
-                masks += flats
-                ranks += [rank] * len(flats)
-                levels.append(sets)
-            self._flat_record = (tuple(masks), tuple(ranks), levels)
+            part, masks, ranks = (1 << h) - 1, [], []
+            for rank, sets in enumerate(levels):
+                masks += [high[s >> h] | low[s & part] for s in sets]
+                ranks += [rank] * len(sets)
+            self._flat_record = (tuple(masks), tuple(ranks), levels, atoms)
         return self._flat_record[0]
 
     def flat_ranks(self) -> tuple[int, ...]:
@@ -400,9 +384,9 @@ class TransversalMatroid:
         """
         if self._covers is None:
             self.flat_masks()
-            p = len(self._flat_vectors()[0])
-            h, part = p // 2, (1 << p // 2) - 1
-            levels, covers, base = self._flat_record[2], [], -1
+            levels, atoms = self._flat_record[2:]
+            p = len(atoms)
+            h, part, covers, base = p // 2, (1 << p // 2) - 1, [], -1
             for below, sets in zip(levels, levels[1:]):
                 # columns[a]: bit j set iff the j-th set here holds atom a
                 digits = "".join(f"{s:0{p}b}" for s in reversed(sets))
@@ -423,8 +407,9 @@ class TransversalMatroid:
         return self._covers
 
     def hyperplane_masks(self) -> tuple[int, ...]:
-        """The flats of rank r - 1, in :meth:`flat_masks` order; no covers are built."""
-        return tuple(self._flat_sets(self.ground_rank - 1)[1])
+        """The flats of rank r - 1: those before the top, the one flat of rank r."""
+        masks = self.flat_masks()
+        return masks[-1 - len(self._flat_record[2][self.ground_rank - 1]) : -1]
 
     def basis_masks(self) -> list[int]:
         """All bases, sorted by member indices.

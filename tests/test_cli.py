@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 
 import pytest
@@ -27,7 +28,6 @@ from latmat.cli import (
     Flats,
     IndexLists,
     MemberLists,
-    Members,
     Partition,
     build_parser,
     grouped,
@@ -340,12 +340,21 @@ def test_load_table_rejects_empty_cell(tmp_path):
         ("object,a,b\nx1,1\nx2,1,\n", "row 2 has 2 cells, expected 3"),
         ("object,a,b\nx1,1,2\nx2,,2\nx3\n", "row 3 has an empty cell"),
         ("object,a,b\nx1,1,2\nx2,1,2,3\nx3,1,\n", "row 3 has 4 cells, expected 3"),
+        ("object,a,b\n\nx1,1,2\n\nx2,1,\n", "row 5 has an empty cell"),
+        ('object,a,b\nx1,"1\n",2\nx2,1\n', "row 4 has 2 cells, expected 3"),
     ],
-    ids=["empty-then-ragged", "ragged-then-empty", "empty-first-column", "long-row"],
+    ids=[
+        "empty-then-ragged",
+        "ragged-then-empty",
+        "empty-first-column",
+        "long-row",
+        "after-blank-lines",
+        "after-quoted-newline",
+    ],
 )
 def test_load_table_names_the_first_bad_row(tmp_path, text, message):
     # the columns are checked as a whole; a fault sends the load back to
-    # the rows, which name the first bad one
+    # the rows, which name the first bad one by the line it starts on
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(DocumentError) as caught:
@@ -468,6 +477,51 @@ def test_lattice_capacity_exit_code(tmp_path, capsys):
     assert main(["lattice", str(path)]) == 4
     assert "--max-elems" in capsys.readouterr().err
     assert main(["lattice", str(path), "--max-elems", "20"]) == 0
+
+
+class CountedWrites(io.StringIO):
+    """A stdout that counts its ``write`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command", SNAPSHOTS)
+def test_data_command_writes_stdout_once(command, monkeypatch):
+    monkeypatch.chdir(SNAPSHOT_ROOT)
+    out = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(command.split()) == 0
+    assert out.calls == 1 and out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("lattice {tmp}/bad.json", 2),
+        ("reducts {tmp}/bad.json --json", 2),
+        ("infosys {tmp}/bad.csv", 2),
+        ("lattice data/covering.json --dot --max-elems 2", 4),
+        ("reducts data/covering.json --max-elems 2", 4),
+        ("infosys data/weather.csv --json --max-attrs 1", 4),
+    ],
+)
+def test_failed_command_writes_stderr_only(command, code, tmp_path, monkeypatch, capsys):
+    # a DocumentError or CapacityError leaves stdout untouched
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "bad.csv").write_text("object,a\nx1\n")
+    monkeypatch.chdir(SNAPSHOT_ROOT)
+    out = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(command.format(tmp=tmp_path).split()) == code
+    assert out.calls == 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -858,11 +912,11 @@ def test_to_json_writes_members_from_tokens(elements, drawn):
     lists = MemberLists(ground, masks)
     flats = Flats(ground, masks, heights)
     value = {
-        "sets": [Members(ground, m) for m in masks],
+        "sets": [ground.members(m) for m in masks],
         "lists": lists,
         "flats": flats,
-        "nested": [lists, [flats, Members(ground, 0)]],
-        "all": Members(ground, ground.full_mask),
+        "nested": [lists, [flats, ground.members(0)]],
+        "all": ground.elements,
     }
     members = [list(ground.members(m)) for m in masks]
     plain_flats = [{"members": m, "height": h} for m, h in zip(members, heights)]

@@ -6,7 +6,9 @@ pool does not reach.  They were recorded before element i moved to bit
 n - 1 - i, and they must not change with the bit numbering.
 ``data/wide-rank3.json`` (U(3, 16)) was recorded before the flats came from
 vectors over atom sets: it has the fewest flats per atom that 16 elements
-allow, where that route costs most.
+allow, where that route costs most.  Its ``reducts --json`` and
+``lattice --dot`` digests were recorded before the hyperplanes became a
+slice of the whole flat record and the CLI's commands returned their stdout.
 ``data/wide-table.csv`` (15 attributes, 60 rows, 2 to 40 values per column,
 drawn with ``random.Random(15)``) was recorded before the table layers read
 class-id columns: its condition fails, so both of its text forms take the
@@ -107,6 +109,12 @@ EXPECTED = {
     ),
     "reducts data/wide-rank3.json": (
         "12caf4b64dedc50a79bd1565a2d7d73c30b01cd400012364f3ef7072abf62b85", 0
+    ),
+    "reducts data/wide-rank3.json --json": (
+        "8d3294a2eebf731c74f9b70e575f0d7ea6047b40e6a4efa4bff4409a202c1cc5", 0
+    ),
+    "lattice data/wide-rank3.json --dot": (
+        "e98c12dd538c6b51f51cf9ae2f7030c2931a72c12cecf5225ee55a088a2f1a86", 0
     ),
     "infosys data/weather.csv": (
         "312097c624c2dd251c77dccfd4454819e77b3716bd3b359989d5a2b5c9d01ecb", 0

@@ -619,7 +619,7 @@ def test_hyperplanes_and_atoms_slice_the_flats(family):
     assert fresh.flat_masks() == flats
     loops = flats[0]
     assert loops == matroid.closure_mask(0)
-    atoms = matroid._flat_vectors()[0]
+    atoms = matroid._flat_record[3]
     assert atoms == sorted(f & ~loops for f, k in zip(flats, ranks) if k == 1)
     if is_covering(family):
         assert loops == 0
