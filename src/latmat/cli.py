@@ -6,7 +6,8 @@ header row and object names in the first column.  All outputs are
 byte-deterministic for identical inputs.  Each command returns its whole
 stdout, rendered through the texts and tokens of ``GroundSet``, and
 :func:`main` writes it with one ``sys.stdout.write``; ``--json`` documents
-go through one writer, :func:`to_json`.  Each list of masks is joined by
+go through one writer, :func:`to_json`, and every member list in them
+through one leaf, :class:`MemberLists`.  Each list of masks is joined by
 ``matroid.joined``: a list with more members than two half tables of the
 ground's entries cost to build is read from those tables, two lookups a
 mask, and a shorter one walks each mask through ``matroid.pick``.  A
@@ -164,56 +165,22 @@ def load_table_document(path: str, decision: str | None = None) -> InformationSy
 
 
 class MemberLists:
-    """Masks of ``ground`` that :func:`to_json` writes as a list of member lists."""
+    """Sets that :func:`to_json` writes as a list of member lists.
 
-    __slots__ = ("ground", "masks")
-
-    def __init__(self, ground: GroundSet, masks):
-        self.ground = ground
-        self.masks = masks
-
-
-class Partition:
-    """A partition of ``ground`` given as a class-id column, for :func:`to_json`.
-
-    ``column[i]`` is the class of element i, ids numbered from 0 by first
-    occurrence; written like a :class:`MemberLists` of the classes, in id
-    order, grouped by :func:`grouped`.
+    ``join(tokens, sets, sep)`` gives each set's entries of ``tokens``
+    joined by ``sep``, one string per set: :func:`matroid.joined` for masks,
+    :func:`grouped` for a class-id column and :func:`indexed` for lists of
+    ints.  With ``heights``, as for the lattice's flats, each list is
+    written as ``{"members": [...], "height": h}``.
     """
 
-    __slots__ = ("ground", "column")
+    __slots__ = ("tokens", "sets", "join", "heights")
 
-    def __init__(self, ground: GroundSet, column):
-        self.ground = ground
-        self.column = column
-
-
-class Flats:
-    """Flats of ``ground`` and their heights, for :func:`to_json`.
-
-    Written as a list of ``{"members": [...], "height": h}`` objects, each
-    built as one string.
-    """
-
-    __slots__ = ("ground", "masks", "heights")
-
-    def __init__(self, ground: GroundSet, masks, heights):
-        self.ground = ground
-        self.masks = masks
+    def __init__(self, tokens: Sequence[str], sets, join=joined, heights=None):
+        self.tokens = tokens
+        self.sets = sets
+        self.join = join
         self.heights = heights
-
-
-class IndexLists:
-    """Lists of ints, such as the lattice's covers, for :func:`to_json`.
-
-    Every int indexes the lists themselves, as a cover names a flat, so each
-    is written from one table of as many decimal strings as there are lists.
-    """
-
-    __slots__ = ("lists",)
-
-    def __init__(self, lists):
-        self.lists = lists
 
 
 def grouped(table: Sequence[str], column: Sequence[int], sep: str) -> list[str]:
@@ -227,49 +194,35 @@ def grouped(table: Sequence[str], column: Sequence[int], sep: str) -> list[str]:
     return [*map(sep.join, classes)]
 
 
-def _member_lists(tokens, sets, pad: str, join=joined) -> list[str]:
-    """Each set's members from ``tokens`` as a JSON list at indent ``pad``.
-
-    ``join`` runs the members of ``sets``: :func:`matroid.joined` for masks,
-    :func:`grouped` for a class-id column.
-    """
-    inner = pad + "  "
-    runs = join(tokens, sets, "," + inner)
-    # no token is empty, so a run is empty only for the empty mask
-    return ["[" + inner + run + pad + "]" if run else "[]" for run in runs]
+def indexed(table: Sequence[str], lists, sep: str) -> list[str]:
+    """Per list of ints, its entries of ``table`` joined by ``sep``."""
+    return [sep.join(map(table.__getitem__, ints)) for ints in lists]
 
 
 def to_json(value, pad: str = "\n") -> str:
     """``value`` written exactly as ``json.dumps(value, indent=2)`` writes it.
 
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
-    bools, None, :class:`MemberLists`, :class:`Partition` and :class:`Flats`,
-    whose members are written from ``GroundSet.tokens``, and
-    :class:`IndexLists`; each leaf writes its list in one pass.  ``pad``
-    is the newline and indent of the level that holds ``value``.
+    bools, None and :class:`MemberLists`, whose lists are written from
+    their joined runs in one pass: no token is empty, so a run is empty
+    only for an empty set, written ``[]``.  ``pad`` is the newline and
+    indent of the level that holds ``value``.
     """
     kind = type(value)
     if kind is list or kind is tuple:
         inner = pad + "  "
         items = [to_json(v, inner) for v in value]
     elif kind is MemberLists:
-        items = _member_lists(value.ground.tokens, value.masks, pad + "  ")
-    elif kind is Partition:
-        items = _member_lists(value.ground.tokens, value.column, pad + "  ", grouped)
-    elif kind is Flats:
-        inner, deeper = pad + "  ", pad + "    "
-        head, middle = "{" + deeper + '"members": ', "," + deeper + '"height": '
-        members = _member_lists(value.ground.tokens, value.masks, deeper)
-        items = [
-            head + m + middle + str(h) + inner + "}" for m, h in zip(members, value.heights)
-        ]
-    elif kind is IndexLists:
-        inner, deeper = pad + "  ", pad + "    "
-        sep, names = "," + deeper, [*map(str, range(len(value.lists)))]
-        items = [
-            f"[{deeper}{sep.join(map(names.__getitem__, c))}{inner}]" if c else "[]"
-            for c in value.lists
-        ]
+        # with heights, each list sits one level deeper, in its flat's object
+        outer = pad + "  "
+        inner = outer if value.heights is None else outer + "  "
+        deeper = inner + "  "
+        start, end = "[" + deeper, inner + "]"
+        runs = value.join(value.tokens, value.sets, "," + deeper)
+        items = [start + run + end if run else "[]" for run in runs]
+        if value.heights is not None:
+            head, mid, tail = "{" + inner + '"members": ', "," + inner + '"height": ', outer + "}"
+            items = [head + m + mid + str(h) + tail for m, h in zip(items, value.heights)]
     elif kind is dict:
         if not value:
             return "{}"
@@ -333,8 +286,8 @@ def cmd_lattice(args) -> str:
         lattice = build_lattice(matroid)
         doc = {
             "universe": ground.elements,
-            "flats": Flats(ground, lattice.masks, lattice.heights),
-            "covers": IndexLists(lattice.covers),
+            "flats": MemberLists(ground.tokens, lattice.masks, heights=lattice.heights),
+            "covers": MemberLists([*map(str, range(len(lattice.covers)))], lattice.covers, indexed),
             "bottom": lattice.bottom,
             "top": lattice.top,
             "covering": covering,
@@ -376,9 +329,9 @@ def cmd_reducts(args) -> str:
         doc = {
             "universe": ground.elements,
             "rank": matroid.ground_rank,
-            "hyperplanes": MemberLists(ground, hyperplanes),
-            "complements": MemberLists(ground, complements),
-            "reducts": MemberLists(ground, reducts),
+            "hyperplanes": MemberLists(ground.tokens, hyperplanes),
+            "complements": MemberLists(ground.tokens, complements),
+            "reducts": MemberLists(ground.tokens, reducts),
         }
         return to_json(doc) + "\n"
 
@@ -410,12 +363,13 @@ def cmd_infosys(args) -> str:
             "attributes": attributes.elements,
             "decision": args.decision,
             "partitions": {
-                a: Partition(objects, column) for a, column in zip(system.attributes, columns)
+                a: MemberLists(objects.tokens, column, grouped)
+                for a, column in zip(system.attributes, columns)
             },
-            "attribute_blocks": MemberLists(attributes, system.quotient_masks),
+            "attribute_blocks": MemberLists(attributes.tokens, system.quotient_masks),
             "condition_holds": condition,
             "method": method,
-            "reducts": MemberLists(attributes, reducts),
+            "reducts": MemberLists(attributes.tokens, reducts),
         }
         return to_json(doc) + "\n"
 

@@ -49,16 +49,13 @@ class InformationSystem:
     """
 
     def __init__(self, objects: Iterable, attributes: Iterable, rows: Iterable[Iterable]):
-        self.objects = objects
-        self.attributes = attributes
-        self.rows = rows
-        self.__post_init__()
+        self.__post_init__(objects, attributes, rows)
 
-    def __post_init__(self):
+    def __post_init__(self, objects: Iterable, attributes: Iterable, rows: Iterable[Iterable]):
         """Validate the table and derive its grounds and canonical columns."""
-        objects = tuple(self.objects)
-        attributes = tuple(self.attributes)
-        rows = tuple(map(tuple, self.rows))
+        objects = tuple(objects)
+        attributes = tuple(attributes)
+        rows = tuple(map(tuple, rows))
         if not objects:
             raise ValueError("at least one object is required")
         if not attributes:

@@ -25,12 +25,10 @@ from latmat import (
     reducts_via_hyperplanes,
 )
 from latmat.cli import (
-    Flats,
-    IndexLists,
     MemberLists,
-    Partition,
     build_parser,
     grouped,
+    indexed,
     load_covering_document,
     load_table_document,
     main,
@@ -371,8 +369,12 @@ def test_grouped_partitions_match_partition_masks(system):
     for bit, column in zip(system.attribute_ground.bits, columns):
         blocks = system.partition_masks(bit)
         assert grouped(texts, column, ",") == joined(texts, blocks, ",")
-        assert to_json(Partition(system.object_ground, column)) == to_json(
-            MemberLists(system.object_ground, blocks)
+        partition = MemberLists(tokens, column, grouped)
+        assert to_json(partition) == to_json(MemberLists(tokens, blocks))
+        # the CLI writes partitions two levels deep, under "partitions"
+        members = [list(system.object_ground.members(m)) for m in blocks]
+        assert to_json({"partitions": {"a": partition}}) == json.dumps(
+            {"partitions": {"a": members}}, indent=2
         )
         assert len(grouped(tokens, column, ", ")) == len(blocks)
 
@@ -909,8 +911,8 @@ def test_to_json_writes_members_from_tokens(elements, drawn):
     ground = GroundSet(tuple(elements))
     masks = [bits & ground.full_mask for bits, _ in drawn]
     heights = [height for _, height in drawn]
-    lists = MemberLists(ground, masks)
-    flats = Flats(ground, masks, heights)
+    lists = MemberLists(ground.tokens, masks)
+    flats = MemberLists(ground.tokens, masks, heights=heights)
     value = {
         "sets": [ground.members(m) for m in masks],
         "lists": lists,
@@ -944,7 +946,7 @@ def test_to_json_writes_members_from_tokens(elements, drawn):
 @example([(), (3, 10, 11), (), (1,), (), (), (), (), (), (), (), ()])
 def test_to_json_writes_index_lists(covers):
     # the lattice's covers: tuples of flat indices, the top flat's empty
-    lists = IndexLists(covers)
+    lists = MemberLists([*map(str, range(len(covers)))], covers, indexed)
     expected = [list(c) for c in covers]
     assert to_json(lists) == json.dumps(expected, indent=2)
     assert to_json({"covers": lists, "nested": [lists, {"deeper": lists}]}) == json.dumps(

@@ -13,6 +13,9 @@ slice of the whole flat record and the CLI's commands returned their stdout.
 drawn with ``random.Random(15)``) was recorded before the table layers read
 class-id columns: its condition fails, so both of its text forms take the
 discernibility route.
+``infosys data/weather.csv --json --decision humidity`` was recorded before
+the JSON leaves became one member-list leaf: it is the only form here whose
+``"decision"`` is a string and whose nested partitions leave a column out.
 """
 
 import hashlib
@@ -127,6 +130,9 @@ EXPECTED = {
     ),
     "infosys data/weather.csv --decision humidity": (
         "9f1d380a2bc401aad13c6e3676fa344bcadeedc6c6642a313a76feb9b10c1524", 0
+    ),
+    "infosys data/weather.csv --json --decision humidity": (
+        "5d6d17a92de5a3a269038f83714c76e76e58ae26783893e4f4b34299620387fd", 0
     ),
     "infosys data/wide-table.csv": (
         "c568fc341dcdf4afd3b5e9559d9040b685eceed5f87c3d0dc5cf69bff1b06f6d", 0
