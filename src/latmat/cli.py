@@ -12,6 +12,10 @@ through one leaf, :class:`MemberLists`.  Each list of masks is joined by
 ground's entries cost to build is read from those tables, two lookups a
 mask, and a shorter one walks each mask through ``matroid.pick``.  A
 table's partitions are grouped from class-id columns by :func:`grouped`.
+The lattice document is read from the matroid's flat record, with no
+``GeometricLattice``: its covers come out of
+``TransversalMatroid.cover_lists`` already as the decimal strings it
+prints, and :func:`listed` joins them.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
@@ -169,9 +173,9 @@ class MemberLists:
 
     ``join(tokens, sets, sep)`` gives each set's entries of ``tokens``
     joined by ``sep``, one string per set: :func:`matroid.joined` for masks,
-    :func:`grouped` for a class-id column and :func:`indexed` for lists of
-    ints.  With ``heights``, as for the lattice's flats, each list is
-    written as ``{"members": [...], "height": h}``.
+    :func:`grouped` for a class-id column and :func:`listed` for lists
+    that hold their tokens already.  With ``heights``, as for the lattice's
+    flats, each list is written as ``{"members": [...], "height": h}``.
     """
 
     __slots__ = ("tokens", "sets", "join", "heights")
@@ -194,9 +198,12 @@ def grouped(table: Sequence[str], column: Sequence[int], sep: str) -> list[str]:
     return [*map(sep.join, classes)]
 
 
-def indexed(table: Sequence[str], lists, sep: str) -> list[str]:
-    """Per list of ints, its entries of ``table`` joined by ``sep``."""
-    return [sep.join(map(table.__getitem__, ints)) for ints in lists]
+def listed(table: Sequence[str], lists, sep: str) -> list[str]:
+    """Each of ``lists``, a list of entries of ``table`` already, joined by ``sep``.
+
+    So come the lattice's covers, named by ``TransversalMatroid.cover_lists``.
+    """
+    return [*map(sep.join, lists)]
 
 
 def to_json(value, pad: str = "\n") -> str:
@@ -217,12 +224,20 @@ def to_json(value, pad: str = "\n") -> str:
         outer = pad + "  "
         inner = outer if value.heights is None else outer + "  "
         deeper = inner + "  "
-        start, end = "[" + deeper, inner + "]"
         runs = value.join(value.tokens, value.sets, "," + deeper)
-        items = [start + run + end if run else "[]" for run in runs]
-        if value.heights is not None:
-            head, mid, tail = "{" + inner + '"members": ', "," + inner + '"height": ', outer + "}"
-            items = [head + m + mid + str(h) + tail for m, h in zip(items, value.heights)]
+        if value.heights is None:
+            start, end = "[" + deeper, inner + "]"
+            items = [start + run + end if run else "[]" for run in runs]
+        else:  # a flat's tail after its members is written once per height
+            head = "{" + inner + '"members": ['
+            start, ends, empties = head + deeper, {}, {}
+            for h in {*value.heights}:
+                tail = "," + inner + '"height": ' + str(h) + outer + "}"
+                ends[h], empties[h] = inner + "]" + tail, head + "]" + tail
+            items = [
+                start + run + ends[h] if run else empties[h]
+                for run, h in zip(runs, value.heights)
+            ]
     elif kind is dict:
         if not value:
             return "{}"
@@ -283,13 +298,14 @@ def cmd_lattice(args) -> str:
     checks = {} if covering else check_covering_equivalences(matroid)._asdict()
 
     if args.json:
-        lattice = build_lattice(matroid)
+        masks = matroid.flat_masks()
+        names = [*map(str, range(len(masks)))]
         doc = {
             "universe": ground.elements,
-            "flats": MemberLists(ground.tokens, lattice.masks, heights=lattice.heights),
-            "covers": MemberLists([*map(str, range(len(lattice.covers)))], lattice.covers, indexed),
-            "bottom": lattice.bottom,
-            "top": lattice.top,
+            "flats": MemberLists(ground.tokens, masks, heights=matroid.flat_ranks()),
+            "covers": MemberLists(names, matroid.cover_lists(names), listed),
+            "bottom": 0,
+            "top": len(masks) - 1,
             "covering": covering,
         }
         if checks:

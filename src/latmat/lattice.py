@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import NotAFlatError
-from .matroid import GroundSet, TransversalMatroid, labels
+from .matroid import GroundSet, TransversalMatroid, joined
 
 __all__ = ["GeometricLattice", "GeometricityReport", "build_lattice"]
 
@@ -165,7 +165,8 @@ class GeometricLattice:
         Labels escape ``\\`` and ``"``, so Graphviz prints them as
         :meth:`GroundSet.label` writes them.  Escaping acts per character and
         braces and commas need none, so each element text is escaped once
-        and the labels are joined from the escaped texts.
+        and each node line is written around its flat's escaped texts,
+        joined by :func:`matroid.joined`.
         """
         escaped = [_dot_escape(text) for text in self.ground.texts]
         ids = [f"n{i}" for i in range(len(self.masks))]
@@ -177,8 +178,8 @@ class GeometricLattice:
             "  rankdir=BT;",
             "  node [shape=box];",
             *[
-                f'  {node} [label="{label}"];'
-                for node, label in zip(ids, labels(escaped, self.masks))
+                f'  {node} [label="{{{run}}}"];'
+                for node, run in zip(ids, joined(escaped, self.masks, ","))
             ],
             *["  { rank=same; " + "; ".join(row) + "; }" for row in rows.values()],
             *[f"  {ids[i]} -> {ids[j]};" for i, ups in enumerate(self.covers) for j in ups],

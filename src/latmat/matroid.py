@@ -379,32 +379,47 @@ class TransversalMatroid:
     def flat_covers(self) -> tuple[tuple[int, ...], ...]:
         """Per flat, the ascending positions in :meth:`flat_masks` of its covers.
 
-        Built when first read: a flat one rank up covers F iff it holds F's
-        atoms, kept by :meth:`flat_masks`; two half tables of ANDs list them.
+        Built when first read, by :meth:`cover_lists` naming each flat by
+        its position, and kept.
         """
         if self._covers is None:
-            self.flat_masks()
-            levels, atoms = self._flat_record[2:]
-            p = len(atoms)
-            h, part, covers, base = p // 2, (1 << p // 2) - 1, [], -1
-            for below, sets in zip(levels, levels[1:]):
-                # columns[a]: bit j set iff the j-th set here holds atom a
-                digits = "".join(f"{s:0{p}b}" for s in reversed(sets))
-                columns = [int(digits[c::p], 2) for c in range(p)][::-1]
-                over, under = [(1 << len(sets)) - 1], [-1]
-                for table, half in ((under, columns[:h]), (over, columns[h:])):
-                    for column in half:
-                        table += [*map(column.__and__, table)]
-                base += len(below)
-                for s in below:
-                    ups, out = over[s >> h] & under[s & part], []
-                    while ups:
-                        bit = ups & -ups
-                        out.append(base + bit.bit_length())
-                        ups ^= bit
-                    covers.append(tuple(out))
-            self._covers = (*covers, ())  # the top: no flat above
+            self._covers = tuple(map(tuple, self.cover_lists(range(len(self.flat_masks())))))
         return self._covers
+
+    def cover_lists(self, names: Sequence) -> list[list]:
+        """Per flat, ``names[j]`` for each flat j that covers it, ascending j.
+
+        A flat one rank up covers F iff it holds F's atoms, kept by
+        :meth:`flat_masks`; two half tables of ANDs list them.  Each rank's
+        atom sets are written as one digit string, each set read from two
+        half tables of binary digits, and the string's every p-th digit
+        gives an atom's column.  Nothing is kept: the CLI names the covers
+        by their JSON text, and :meth:`flat_covers` by position.
+        """
+        self.flat_masks()
+        levels, atoms = self._flat_record[2:]
+        p = len(atoms)
+        h, part, covers, base = p // 2, (1 << p // 2) - 1, [], -1
+        # every (p - h)- and h-digit binary string, indexed by its value
+        left, right = ([bin(i | 1 << w)[3:] for i in range(1 << w)] for w in (p - h, h))
+        for below, sets in zip(levels, levels[1:]):
+            # columns[a]: bit j set iff the j-th set here holds atom a
+            digits = "".join([left[s >> h] + right[s & part] for s in reversed(sets)])
+            columns = [int(digits[c::p], 2) for c in range(p)][::-1]
+            over, under = [(1 << len(sets)) - 1], [-1]
+            for table, half in ((under, columns[:h]), (over, columns[h:])):
+                for column in half:
+                    table += [*map(column.__and__, table)]
+            base += len(below)
+            for s in below:
+                ups, out = over[s >> h] & under[s & part], []
+                while ups:
+                    rest = ups & ups - 1
+                    out.append(names[base + (ups ^ rest).bit_length()])
+                    ups = rest
+                covers.append(out)
+        covers.append([])  # the top: no flat above
+        return covers
 
     def hyperplane_masks(self) -> tuple[int, ...]:
         """The flats of rank r - 1: those before the top, the one flat of rank r."""

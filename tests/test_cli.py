@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from latmat import cli
 from latmat import (
     DocumentError,
     GroundSet,
@@ -28,7 +29,7 @@ from latmat.cli import (
     MemberLists,
     build_parser,
     grouped,
-    indexed,
+    listed,
     load_covering_document,
     load_table_document,
     main,
@@ -396,11 +397,30 @@ def test_lattice_text_golden(covering_file, capsys):
 def test_lattice_text_builds_no_covers(command, monkeypatch, capsys):
     # the text form prints flats by height, atoms and coatoms, so neither it
     # nor the covering checks of a non-covering family (data/family.json)
-    # may build the Hasse covers
-    def refuse(self):
+    # may build the Hasse covers, as ints or as names
+    def refuse(*args):
         raise AssertionError("the text form built the Hasse covers")
 
     monkeypatch.setattr(TransversalMatroid, "flat_covers", refuse)
+    monkeypatch.setattr(TransversalMatroid, "cover_lists", refuse)
+    monkeypatch.chdir(SNAPSHOT_ROOT)
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == SNAPSHOTS[command]
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in SNAPSHOTS if c.startswith("lattice ") and c.endswith(" --json")]
+)
+def test_lattice_json_builds_no_int_covers(command, monkeypatch, capsys):
+    # the JSON form reads masks and ranks from the flat record and its covers
+    # come out of the cover loop named by their JSON text: no lattice is
+    # built, and no tuple of int positions
+    def refuse(*args):
+        raise AssertionError("the JSON form built int covers or a lattice")
+
+    monkeypatch.setattr(TransversalMatroid, "flat_covers", refuse)
+    monkeypatch.setattr(cli, "build_lattice", refuse)
     monkeypatch.chdir(SNAPSHOT_ROOT)
     code = main(command.split())
     out = capsys.readouterr().out
@@ -945,8 +965,10 @@ def test_to_json_writes_members_from_tokens(elements, drawn):
 @example([])
 @example([(), (3, 10, 11), (), (1,), (), (), (), (), (), (), (), ()])
 def test_to_json_writes_index_lists(covers):
-    # the lattice's covers: tuples of flat indices, the top flat's empty
-    lists = MemberLists([*map(str, range(len(covers)))], covers, indexed)
+    # the lattice's covers: flat indices named by their JSON text, as
+    # TransversalMatroid.cover_lists gives them; the top flat's list is empty
+    names = [*map(str, range(len(covers)))]
+    lists = MemberLists(names, [[names[j] for j in c] for c in covers], listed)
     expected = [list(c) for c in covers]
     assert to_json(lists) == json.dumps(expected, indent=2)
     assert to_json({"covers": lists, "nested": [lists, {"deeper": lists}]}) == json.dumps(

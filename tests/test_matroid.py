@@ -683,3 +683,18 @@ def test_flats_ranks_and_covers_in_order(family):
     assert all(b - a in (0, 1) for a, b in zip(ranks, ranks[1:]))
     for ups in matroid.flat_covers():
         assert all(a < b for a, b in zip(ups, ups[1:]))
+
+
+@given(set_families(max_elements=10, max_blocks=4))
+@settings(max_examples=60, deadline=None)
+def test_cover_lists_name_the_flat_covers(family):
+    # up to 10 atoms, so each rank's digit string is read from two half
+    # tables of up to 5 digits each; the JSON names and the int positions
+    # come from the one cover loop
+    matroid = TransversalMatroid(family)
+    flats = matroid.flat_masks()
+    names = [*map(str, range(len(flats)))]
+    covers = matroid.flat_covers()
+    assert matroid.cover_lists(names) == [[*map(str, ups)] for ups in covers]
+    edges = {(flats[k], flats[up]) for k, ups in enumerate(covers) for up in ups}
+    assert edges == oracles.cover_pairs(set(flats))
