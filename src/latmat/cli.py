@@ -12,10 +12,12 @@ through one leaf, :class:`MemberLists`.  Each list of masks is joined by
 ground's entries cost to build is read from those tables, two lookups a
 mask, and a shorter one walks each mask through ``matroid.pick``.  A
 table's partitions are grouped from class-id columns by :func:`grouped`.
-The lattice document is read from the matroid's flat record, with no
-``GeometricLattice``: its covers come out of
-``TransversalMatroid.cover_lists`` already as the decimal strings it
-prints, and :func:`listed` joins them.
+The lattice's JSON and DOT forms are read from the matroid's flat record,
+with no ``GeometricLattice``: their covers come out of
+``TransversalMatroid.cover_lists`` already as the text they print, the
+decimal strings that :func:`listed` joins or the node ids that
+:func:`lattice.hasse_dot` joins.  The text form labels every flat at once
+and cuts the labels into rows where the rank steps up.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
@@ -35,7 +37,7 @@ from typing import Sequence
 from .covering import check_covering_equivalences, is_covering
 from .errors import CapacityError, DocumentError, LatmatError
 from .infosys import InformationSystem
-from .lattice import build_lattice
+from .lattice import hasse_dot
 from .matroid import GroundSet, SetFamily, TransversalMatroid, joined, labels
 
 DEFAULT_MAX_ELEMENTS = 16
@@ -293,16 +295,17 @@ def cmd_lattice(args) -> str:
     if not covering:
         print("warning: family is not a covering of the universe", file=sys.stderr)
 
+    masks, ranks = matroid.flat_masks(), matroid.flat_ranks()
     if args.dot:
-        return build_lattice(matroid).to_dot()
+        ids = [f"n{j}" for j in range(len(masks))]
+        return hasse_dot(ground.texts, masks, ranks, ids, matroid.cover_lists(ids))
     checks = {} if covering else check_covering_equivalences(matroid)._asdict()
 
     if args.json:
-        masks = matroid.flat_masks()
         names = [*map(str, range(len(masks)))]
         doc = {
             "universe": ground.elements,
-            "flats": MemberLists(ground.tokens, masks, heights=matroid.flat_ranks()),
+            "flats": MemberLists(ground.tokens, masks, heights=ranks),
             "covers": MemberLists(names, matroid.cover_lists(names), listed),
             "bottom": 0,
             "top": len(masks) - 1,
@@ -312,19 +315,20 @@ def cmd_lattice(args) -> str:
             doc["covering_checks"] = checks
         return to_json(doc) + "\n"
 
-    rows: dict[int, list[int]] = {}  # heights ascend in canonical order
-    for mask, height in zip(matroid.flat_masks(), matroid.flat_ranks()):
-        rows.setdefault(height, []).append(mask)
-    texts = {height: fmt_many(ground, row) for height, row in rows.items()}
+    # ranks ascend and are graded: every rank 0..r starts a run of flats
+    r = matroid.ground_rank
+    starts = [*map(ranks.index, range(r + 1)), len(ranks)]
+    flats = labels(ground.texts, masks)
+    texts = [" ".join(flats[a:b]) for a, b in zip(starts, starts[1:])]
     lines = [
         "universe: " + " ".join(ground.texts),
         "blocks: " + fmt_many(ground, family.block_masks),
         "covering: " + _yesno(covering),
-        f"rank: {matroid.ground_rank}",
-        f"flats ({len(matroid.flat_masks())}):",
-        *[f"  height {height}: {text}" for height, text in texts.items()],
+        f"rank: {r}",
+        f"flats ({len(masks)}):",
+        *[f"  height {height}: {text}" for height, text in enumerate(texts)],
         "atoms: " + texts[1],
-        "coatoms: " + texts[matroid.ground_rank - 1],
+        "coatoms: " + texts[r - 1],
     ]
     if checks:
         lines.append(

@@ -9,12 +9,12 @@ the inducing matroid.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotAFlatError
 from .matroid import GroundSet, TransversalMatroid, joined
 
-__all__ = ["GeometricLattice", "GeometricityReport", "build_lattice"]
+__all__ = ["GeometricLattice", "GeometricityReport", "build_lattice", "hasse_dot"]
 
 
 def _dot_escape(text: str) -> str:
@@ -162,30 +162,49 @@ class GeometricLattice:
     def to_dot(self) -> str:
         """Hasse diagram as a deterministic DOT digraph, one rank row per height.
 
-        Labels escape ``\\`` and ``"``, so Graphviz prints them as
-        :meth:`GroundSet.label` writes them.  Escaping acts per character and
-        braces and commas need none, so each element text is escaped once
-        and each node line is written around its flat's escaped texts,
-        joined by :func:`matroid.joined`.
+        Written by :func:`hasse_dot`, with flat i named ``n{i}`` and each
+        int cover named by its flat's id.
         """
-        escaped = [_dot_escape(text) for text in self.ground.texts]
         ids = [f"n{i}" for i in range(len(self.masks))]
-        rows: dict[int, list[str]] = {}  # heights ascend in canonical order
-        for node, height in zip(ids, self.heights):
-            rows.setdefault(height, []).append(node)
-        lines = [
-            "digraph flats {",
-            "  rankdir=BT;",
-            "  node [shape=box];",
-            *[
-                f'  {node} [label="{{{run}}}"];'
-                for node, run in zip(ids, joined(escaped, self.masks, ","))
-            ],
-            *["  { rank=same; " + "; ".join(row) + "; }" for row in rows.values()],
-            *[f"  {ids[i]} -> {ids[j]};" for i, ups in enumerate(self.covers) for j in ups],
-            "}",
-        ]
-        return "\n".join(lines) + "\n"
+        covers = [[ids[j] for j in ups] for ups in self.covers]
+        return hasse_dot(self.ground.texts, self.masks, self.heights, ids, covers)
+
+
+def hasse_dot(
+    texts: Sequence[str],
+    masks: Sequence[int],
+    heights: Sequence[int],
+    ids: Sequence[str],
+    covers: Sequence[Sequence[str]],
+) -> str:
+    """The Hasse diagram of flats ``masks`` over ``texts`` as a DOT digraph.
+
+    Flat i is node ``ids[i]``, and ``covers[i]`` lists the ids of the flats
+    just above it.  Nodes of one height share a rank row, in order of first
+    appearance, so heights may skip a value.  Labels escape ``\\`` and
+    ``"``, so Graphviz prints them as :meth:`GroundSet.label` writes them.
+    Escaping acts per character and braces and commas need none, so each
+    element text is escaped once and each node line is written around its
+    flat's escaped texts, joined by :func:`matroid.joined`.  A flat's edge
+    lines are one join over its cover ids.
+    """
+    escaped = [_dot_escape(text) for text in texts]
+    rows: dict[int, list[str]] = {}
+    for node, height in zip(ids, heights):
+        rows.setdefault(height, []).append(node)
+    lines = [
+        "digraph flats {",
+        "  rankdir=BT;",
+        "  node [shape=box];",
+        *[f'  {node} [label="{{{run}}}"];' for node, run in zip(ids, joined(escaped, masks, ","))],
+        *["  { rank=same; " + "; ".join(row) + "; }" for row in rows.values()],
+    ]
+    for node, ups in zip(ids, covers):
+        if ups:
+            head = "  " + node + " -> "
+            lines.append(head + (";\n" + head).join(ups) + ";")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def build_lattice(matroid: TransversalMatroid) -> GeometricLattice:

@@ -394,7 +394,8 @@ class TransversalMatroid:
         atom sets are written as one digit string, each set read from two
         half tables of binary digits, and the string's every p-th digit
         gives an atom's column.  Nothing is kept: the CLI names the covers
-        by their JSON text, and :meth:`flat_covers` by position.
+        by their JSON text or their DOT node ids, and :meth:`flat_covers` by
+        position.
         """
         self.flat_masks()
         levels, atoms = self._flat_record[2:]

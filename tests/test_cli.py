@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latmat import cli
 from latmat import (
     DocumentError,
+    GeometricLattice,
     GroundSet,
     InformationSystem,
     TransversalMatroid,
@@ -409,6 +409,18 @@ def test_lattice_text_builds_no_covers(command, monkeypatch, capsys):
     assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == SNAPSHOTS[command]
 
 
+def _run_refusing_int_covers(command, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built int covers or a lattice")
+
+    monkeypatch.setattr(TransversalMatroid, "flat_covers", refuse)
+    monkeypatch.setattr(GeometricLattice, "__init__", refuse)
+    monkeypatch.chdir(SNAPSHOT_ROOT)
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == SNAPSHOTS[command]
+
+
 @pytest.mark.parametrize(
     "command", [c for c in SNAPSHOTS if c.startswith("lattice ") and c.endswith(" --json")]
 )
@@ -416,15 +428,15 @@ def test_lattice_json_builds_no_int_covers(command, monkeypatch, capsys):
     # the JSON form reads masks and ranks from the flat record and its covers
     # come out of the cover loop named by their JSON text: no lattice is
     # built, and no tuple of int positions
-    def refuse(*args):
-        raise AssertionError("the JSON form built int covers or a lattice")
+    _run_refusing_int_covers(command, monkeypatch, capsys)
 
-    monkeypatch.setattr(TransversalMatroid, "flat_covers", refuse)
-    monkeypatch.setattr(cli, "build_lattice", refuse)
-    monkeypatch.chdir(SNAPSHOT_ROOT)
-    code = main(command.split())
-    out = capsys.readouterr().out
-    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == SNAPSHOTS[command]
+
+@pytest.mark.parametrize(
+    "command", [c for c in SNAPSHOTS if c.startswith("lattice ") and c.endswith(" --dot")]
+)
+def test_lattice_dot_builds_no_int_covers(command, monkeypatch, capsys):
+    # the DOT form does the same, its covers named by their node ids
+    _run_refusing_int_covers(command, monkeypatch, capsys)
 
 
 def test_lattice_warns_on_non_covering(family_file, capsys):

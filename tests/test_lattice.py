@@ -1,5 +1,7 @@
 """Lattice of flats: order structure, join/meet, atoms, coatoms, DOT export."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +15,7 @@ from latmat import (
     TransversalMatroid,
     build_lattice,
 )
+from latmat.lattice import hasse_dot
 from strategies import coverings, set_families
 
 
@@ -282,6 +285,40 @@ def test_to_dot_chain_exact():
         "}\n"
     )
     assert chain_lattice().to_dot() == expected
+
+
+def test_to_dot_height_gap_exact():
+    # a hand-built lattice whose heights skip 1: rows group by height value
+    lattice = GeometricLattice(GroundSet((1, 2)), (0, 0b11), (0, 2), ((1,), ()))
+    expected = (
+        "digraph flats {\n"
+        "  rankdir=BT;\n"
+        "  node [shape=box];\n"
+        '  n0 [label="{}"];\n'
+        '  n1 [label="{1,2}"];\n'
+        "  { rank=same; n0; }\n"
+        "  { rank=same; n1; }\n"
+        "  n0 -> n1;\n"
+        "}\n"
+    )
+    assert lattice.to_dot() == expected
+
+
+@given(set_families(max_elements=10, max_blocks=4))
+@settings(max_examples=60, deadline=None)
+def test_hasse_dot_from_named_covers(family):
+    # the CLI's route: covers named by node id in the one cover loop
+    matroid = TransversalMatroid(family)
+    masks = matroid.flat_masks()
+    ids = [f"n{j}" for j in range(len(masks))]
+    dot = hasse_dot(
+        family.ground.texts, masks, matroid.flat_ranks(), ids, matroid.cover_lists(ids)
+    )
+    assert dot == build_lattice(matroid).to_dot()
+    edges = {
+        (masks[int(i)], masks[int(j)]) for i, j in re.findall(r"^  n(\d+) -> n(\d+);$", dot, re.M)
+    }
+    assert edges == oracles.cover_pairs(oracles.flat_masks(family))
 
 
 def test_to_dot_counts_golden(five_point_covering):
