@@ -12,12 +12,17 @@ through one leaf, :class:`MemberLists`.  Each list of masks is joined by
 ground's entries cost to build is read from those tables, two lookups a
 mask, and a shorter one walks each mask through ``matroid.pick``.  A
 table's partitions are grouped from class-id columns by :func:`grouped`.
-The lattice's JSON and DOT forms are read from the matroid's flat record,
-with no ``GeometricLattice``: their covers come out of
+Every member list is then written by one ``str.join`` whose separator holds
+the wrappers between two sets: ``} {`` in text (:func:`braced`), the closing
+and opening brackets in JSON.  ``reducts`` joins its hyperplanes,
+complements and bases in one ``joined`` call per form, from one pair of
+half tables, and cuts the three lists out of it.  The lattice's JSON and
+DOT forms are read from the matroid's flat record, with no
+``GeometricLattice``: their covers come out of
 ``TransversalMatroid.cover_lists`` already as the text they print, the
 decimal strings that :func:`listed` joins or the node ids that
-:func:`lattice.hasse_dot` joins.  The text form labels every flat at once
-and cuts the labels into rows where the rank steps up.
+:func:`lattice.hasse_dot` joins.  The text form joins every flat at once
+and writes one row per run of a rank.
 
 Exit codes: 0 success, 2 parse error, 4 capacity guard.
 """
@@ -38,7 +43,7 @@ from .covering import check_covering_equivalences, is_covering
 from .errors import CapacityError, DocumentError, LatmatError
 from .infosys import InformationSystem
 from .lattice import hasse_dot
-from .matroid import GroundSet, SetFamily, TransversalMatroid, joined, labels
+from .matroid import GroundSet, SetFamily, TransversalMatroid, joined
 
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_ATTRIBUTES = 15
@@ -214,7 +219,8 @@ def to_json(value, pad: str = "\n") -> str:
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
     bools, None and :class:`MemberLists`, whose lists are written from
     their joined runs in one pass: no token is empty, so a run is empty
-    only for an empty set, written ``[]``.  ``pad`` is the newline and
+    only for an empty set, written ``[]``.  Without heights, a list that
+    holds no empty set is written by one join.  ``pad`` is the newline and
     indent of the level that holds ``value``.
     """
     kind = type(value)
@@ -229,6 +235,8 @@ def to_json(value, pad: str = "\n") -> str:
         runs = value.join(value.tokens, value.sets, "," + deeper)
         if value.heights is None:
             start, end = "[" + deeper, inner + "]"
+            if runs and all(runs):  # no empty set: one join, the wrappers in its separator
+                return f"[{inner}{start}{(end + ',' + inner + start).join(runs)}{end}{pad}]"
             items = [start + run + end if run else "[]" for run in runs]
         else:  # a flat's tail after its members is written once per height
             head = "{" + inner + '"members": ['
@@ -265,12 +273,13 @@ def to_json(value, pad: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def fmt_many(ground: GroundSet, masks: Sequence[int]) -> str:
-    return " ".join(labels(ground.texts, masks))
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def braced(runs: Sequence[str], sep: str = "} {") -> str:
+    """Each of ``runs`` written ``{run}``, one join: ``sep`` holds the braces between two."""
+    return "{" + sep.join(runs) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +327,11 @@ def cmd_lattice(args) -> str:
     # ranks ascend and are graded: every rank 0..r starts a run of flats
     r = matroid.ground_rank
     starts = [*map(ranks.index, range(r + 1)), len(ranks)]
-    flats = labels(ground.texts, masks)
-    texts = [" ".join(flats[a:b]) for a, b in zip(starts, starts[1:])]
+    runs = joined(ground.texts, masks, ",")
+    texts = [braced(runs[a:b]) for a, b in zip(starts, starts[1:])]
     lines = [
         "universe: " + " ".join(ground.texts),
-        "blocks: " + fmt_many(ground, family.block_masks),
+        "blocks: " + braced(joined(ground.texts, family.block_masks, ",")),
         "covering: " + _yesno(covering),
         f"rank: {r}",
         f"flats ({len(masks)}):",
@@ -344,24 +353,32 @@ def cmd_reducts(args) -> str:
     hyperplanes = matroid.hyperplane_masks()
     complements = [ground.full_mask & ~h for h in hyperplanes]
     reducts = matroid.basis_masks()
+    # the three lists are joined as one, from one pair of half tables, and cut apart
+    k, masks = len(hyperplanes), [*hyperplanes, *complements, *reducts]
 
     if args.json:
+        runs = functools.cache(functools.partial(joined, ground.tokens, masks))
+        hyper, comp, bases = (
+            MemberLists(ground.tokens, cut, lambda _, part, sep: runs(sep)[part])
+            for cut in (slice(k), slice(k, 2 * k), slice(2 * k, None))
+        )
         doc = {
             "universe": ground.elements,
             "rank": matroid.ground_rank,
-            "hyperplanes": MemberLists(ground.tokens, hyperplanes),
-            "complements": MemberLists(ground.tokens, complements),
-            "reducts": MemberLists(ground.tokens, reducts),
+            "hyperplanes": hyper,
+            "complements": comp,
+            "reducts": bases,
         }
         return to_json(doc) + "\n"
 
+    runs = joined(ground.texts, masks, ",")
     lines = [
         "universe: " + " ".join(ground.texts),
         f"rank: {matroid.ground_rank}",
-        f"hyperplanes ({len(hyperplanes)}): " + fmt_many(ground, hyperplanes),
-        f"complements ({len(complements)}): " + fmt_many(ground, complements),
+        f"hyperplanes ({k}): " + braced(runs[:k]),
+        f"complements ({k}): " + braced(runs[k : 2 * k]),
         f"reducts ({len(reducts)}):",
-        *["  " + label for label in labels(ground.texts, reducts)],
+        "  " + braced(runs[2 * k :], "}\n  {"),
     ]
     return "\n".join(lines) + "\n"
 
@@ -398,16 +415,16 @@ def cmd_infosys(args) -> str:
         lines.append(f"decision column: {args.decision} (excluded from reduction)")
     lines.append("partitions:")
     # equal columns, equal partitions: each distinct one is grouped once
-    text = {c: "{" + "} {".join(grouped(objects.texts, c, ",")) + "}" for c in {*columns}}
+    text = {c: braced(grouped(objects.texts, c, ",")) for c in {*columns}}
     lines += [f"  {a}: {text[c]}" for a, c in zip(system.attributes, columns)]
     lines += [
-        "attribute blocks: " + fmt_many(attributes, system.quotient_masks),
+        "attribute blocks: " + braced(joined(attributes.texts, system.quotient_masks, ",")),
         "condition: " + ("holds" if condition else "fails"),
     ]
     if not condition:
         lines.append("note: condition fails; falling back to brute-force reducts")
     lines.append(f"reducts ({len(reducts)}) via {method}:")
-    lines += ["  " + label for label in labels(attributes.texts, reducts)]
+    lines.append("  " + braced(joined(attributes.texts, reducts, ","), "}\n  {"))
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "TransversalMatroid",
     "iter_bits",
     "joined",
-    "labels",
     "pick",
     "residue_masks",
 ]
@@ -100,15 +99,6 @@ def joined(table: Sequence[str], masks: Sequence[int], sep: str) -> list[str]:
     high, low = _runs(pieces[: n - h]), _runs(pieces[n - h :])
     cut, part = len(sep), (1 << h) - 1
     return [(high[mask >> h] + low[mask & part])[cut:] for mask in masks]
-
-
-def labels(table: Sequence[str], masks: Sequence[int]) -> list[str]:
-    """Each mask written as ``{a,b}`` from the entries of ``table`` at its members.
-
-    :meth:`GroundSet.label` of each mask when ``table`` is the ground's
-    ``texts``, joined by :func:`joined`.
-    """
-    return ["{" + text + "}" for text in joined(table, masks, ",")]
 
 
 def lacks(p: int) -> list[int]:

@@ -1,6 +1,6 @@
 import pytest
 
-from latmat import Covering, GroundSet, InformationSystem, SetFamily
+from latmat import Covering, GroundSet, InformationSystem, SetFamily, matroid
 
 
 @pytest.fixture
@@ -32,3 +32,18 @@ def weather_system() -> InformationSystem:
             ("rain", "hot", "normal"),
         ),
     )
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The length of each half table that ``joined`` builds, in build order."""
+    lengths = []
+    real_runs = matroid._runs
+
+    def runs(pieces):
+        out = real_runs(pieces)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(matroid, "_runs", runs)
+    return lengths

@@ -855,6 +855,60 @@ def test_text_output_matches_line_by_line_labels(family, table, force_brute):
         )
 
 
+def test_empty_sets_print_as_braces_and_brackets(tmp_path):
+    # a rank-1 family: the empty flat is its only hyperplane
+    family_path = tmp_path / "rank-1.json"
+    family_path.write_text('{"universe": ["a", "b"], "blocks": [["a", "b"]]}')
+    family = load_covering_document(str(family_path))
+    text = _reducts_text_reference(family)
+    assert "hyperplanes (1): {}\n" in text
+    assert _run(["reducts", str(family_path)]) == (0, text)
+    reducts = {
+        "universe": ["a", "b"],
+        "rank": 1,
+        "hyperplanes": [[]],
+        "complements": [["a", "b"]],
+        "reducts": [["a"], ["b"]],
+    }
+    assert _run(["reducts", str(family_path), "--json"]) == (
+        0,
+        json.dumps(reducts, indent=2) + "\n",
+    )
+    # a one-object table: the empty set is its only reduct, on either route
+    table_path = tmp_path / "one-object.csv"
+    table_path.write_text("object,a,b\nx1,v,w\n")
+    table = InformationSystem(("x1",), ("a", "b"), [("v", "w")])
+    infosys = {
+        "objects": ["x1"],
+        "attributes": ["a", "b"],
+        "decision": None,
+        "partitions": {"a": [["x1"]], "b": [["x1"]]},
+        "attribute_blocks": [["a", "b"]],
+        "condition_holds": False,
+        "method": "brute-force",
+        "reducts": [[]],
+    }
+    for flags in ([], ["--force-brute"]):
+        text = _infosys_text_reference(table, bool(flags))
+        assert text.endswith("reducts (1) via brute-force:\n  {}\n")
+        assert _run(["infosys", str(table_path), *flags]) == (0, text)
+        assert _run(["infosys", str(table_path), "--json", *flags]) == (
+            0,
+            json.dumps(infosys, indent=2) + "\n",
+        )
+
+
+@pytest.mark.parametrize("flags", ["", " --json"], ids=["text", "json"])
+def test_reducts_reads_its_lists_from_one_pair_of_half_tables(flags, built, monkeypatch, capsys):
+    # U(8,16): 11,440 hyperplanes, as many complements and 12,870 bases
+    command = "reducts data/uniform-8-16.json" + flags
+    monkeypatch.chdir(SNAPSHOT_ROOT)
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == SNAPSHOTS[command]
+    assert len(built) <= 2
+
+
 def _check_capped(forms, option, cap, size):
     """Each form with ``option cap`` exits 4 with one error line iff ``size > cap``.
 

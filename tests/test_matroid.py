@@ -16,11 +16,10 @@ from latmat import (
     UnknownElementError,
     build_lattice,
     is_covering,
-    matroid,
 )
 from latmat.cli import load_covering_document
 from latmat.dependence import closure_space, minimal_hitting_masks, profile_space
-from latmat.matroid import joined, labels, pick
+from latmat.matroid import joined, pick
 from strategies import coverings, family_and_subsets, information_systems, set_families
 
 # ---------------------------------------------------------------------------
@@ -181,6 +180,11 @@ def test_rank_unknown_element(three_block_family):
         TransversalMatroid(three_block_family).rank({0})
 
 
+def _labelled(table, masks):
+    """Each mask's entries of ``table``, joined by :func:`joined`, written ``{a,b}``."""
+    return ["{" + run + "}" for run in joined(table, masks, ",")]
+
+
 def test_masks_outside_the_ground_are_refused():
     lone = TransversalMatroid(SetFamily(GroundSet(("a",)), (frozenset("a"),)))
     with pytest.raises(UnknownElementError, match="bit 1"):
@@ -214,16 +218,16 @@ def test_masks_outside_the_ground_are_refused():
         with pytest.raises(IndexError):
             pick(pair.ground.elements, mask)
         with pytest.raises(IndexError):
-            labels(pair.ground.texts, [0, mask])
+            _labelled(pair.ground.texts, [0, mask])
         for masks in ([mask, *long], [*long, mask], [0, *long, mask, 0]):
             with pytest.raises(IndexError):
-                labels(pair.ground.texts, masks)
+                _labelled(pair.ground.texts, masks)
             with pytest.raises(IndexError):
                 joined(pair.ground.tokens, masks, ",\n      ")
     # in-ground masks still render
     assert pair.ground.label(0b11) == "{a,b}"
-    assert labels(pair.ground.texts, [0, pair.ground.full_mask]) == ["{}", "{a,b}"]
-    assert labels(pair.ground.texts, [0, *long, 1, 2]) == ["{}", "{a,b}", "{a,b}", "{b}", "{a}"]
+    assert _labelled(pair.ground.texts, [0, pair.ground.full_mask]) == ["{}", "{a,b}"]
+    assert _labelled(pair.ground.texts, [0, *long, 1, 2]) == ["{}", "{a,b}", "{a,b}", "{b}", "{a}"]
 
 
 @st.composite
@@ -234,21 +238,6 @@ def tables_and_mask_lists(draw):
     mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
     masks = draw(st.lists(mask, max_size=draw(st.sampled_from((8, 300)))))
     return table, masks
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """The length of each half table that ``joined`` builds, in build order."""
-    lengths = []
-    real_runs = matroid._runs
-
-    def runs(pieces):
-        out = real_runs(pieces)
-        lengths.append(len(out))
-        return out
-
-    monkeypatch.setattr(matroid, "_runs", runs)
-    return lengths
 
 
 def test_joined_routes_match_the_walk(built):
@@ -264,7 +253,7 @@ def test_joined_routes_match_the_walk(built):
         assert sum(built) <= sum(map(int.bit_count, masks))
         routes.add(bool(built))
         if sep == ",":
-            assert labels(table, masks) == ["{" + ",".join(pick(table, m)) + "}" for m in masks]
+            assert _labelled(table, masks) == ["{" + ",".join(pick(table, m)) + "}" for m in masks]
 
     check()
     assert routes == {False, True}
@@ -274,12 +263,12 @@ def test_joined_builds_tables_only_for_lists_with_as_many_members(built):
     # three blocks partitioning 64 entries, like an object partition of a table
     wide = [str(i) for i in range(64)]
     blocks = [(1 << 64) - (1 << 40), (1 << 40) - (1 << 10), (1 << 10) - 1]
-    assert labels(wide, blocks) == ["{" + ",".join(pick(wide, m)) + "}" for m in blocks]
+    assert _labelled(wide, blocks) == ["{" + ",".join(pick(wide, m)) + "}" for m in blocks]
     assert built == []
     # every 3-subset of 12 entries: 660 members against 2**6 + 2**6 runs
     table = [chr(ord("a") + i) for i in range(12)]
     masks = [m for m in range(1 << 12) if m.bit_count() == 3]
-    assert labels(table, masks) == ["{" + ",".join(pick(table, m)) + "}" for m in masks]
+    assert _labelled(table, masks) == ["{" + ",".join(pick(table, m)) + "}" for m in masks]
     assert built == [64, 64]
     # 127 members, one fewer than the runs, walk the list
     built.clear()
