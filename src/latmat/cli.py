@@ -179,10 +179,12 @@ class MemberLists:
     """Sets that :func:`to_json` writes as a list of member lists.
 
     ``join(tokens, sets, sep)`` gives each set's entries of ``tokens``
-    joined by ``sep``, one string per set: :func:`matroid.joined` for masks,
-    :func:`grouped` for a class-id column and :func:`listed` for lists
-    that hold their tokens already.  With ``heights``, as for the lattice's
-    flats, each list is written as ``{"members": [...], "height": h}``.
+    joined by ``sep``, one string per set; ``sets`` is whatever ``join``
+    reads: masks for :func:`matroid.joined`, a class-id column for
+    :func:`grouped`, lists that hold their tokens already for
+    :func:`listed`, and for ``reducts`` a slice of one list of masks that
+    its ``join`` joins once per separator.  With ``heights``, as for the
+    lattice's flats, each list is written as ``{"members": [...], "height": h}``.
     """
 
     __slots__ = ("tokens", "sets", "join", "heights")
@@ -219,9 +221,12 @@ def to_json(value, pad: str = "\n") -> str:
     ``value`` nests dicts with string keys, lists, tuples, strings, ints,
     bools, None and :class:`MemberLists`, whose lists are written from
     their joined runs in one pass: no token is empty, so a run is empty
-    only for an empty set, written ``[]``.  Without heights, a list that
-    holds no empty set is written by one join.  ``pad`` is the newline and
-    indent of the level that holds ``value``.
+    only for an empty set, written ``[]``.  Without heights, the lists are
+    written by one join, with the brackets between two lists in its
+    separator, and an empty set's brackets are then replaced by ``[]``:
+    every token is a JSON literal with no raw newline, so a bracket and
+    newline are followed by another newline only there.  ``pad`` is the
+    newline and indent of the level that holds ``value``.
     """
     kind = type(value)
     if kind is list or kind is tuple:
@@ -234,10 +239,11 @@ def to_json(value, pad: str = "\n") -> str:
         deeper = inner + "  "
         runs = value.join(value.tokens, value.sets, "," + deeper)
         if value.heights is None:
+            # one join, the wrappers in its separator: only an empty set leaves
+            # start + end, and the scan for it is skipped where no run is empty
             start, end = "[" + deeper, inner + "]"
-            if runs and all(runs):  # no empty set: one join, the wrappers in its separator
-                return f"[{inner}{start}{(end + ',' + inner + start).join(runs)}{end}{pad}]"
-            items = [start + run + end if run else "[]" for run in runs]
+            text = f"{start}{(end + ',' + inner + start).join(runs)}{end}"
+            items = runs and [text if all(runs) else text.replace(start + end, "[]")]
         else:  # a flat's tail after its members is written once per height
             head = "{" + inner + '"members": ['
             start, ends, empties = head + deeper, {}, {}
@@ -256,7 +262,7 @@ def to_json(value, pad: str = "\n") -> str:
             f"{encode_basestring_ascii(k)}: {str(v) if type(v) is int else to_json(v, inner)}"
             for k, v in value.items()
         ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
     elif kind is str:
         return encode_basestring_ascii(value)
     elif kind is int:
@@ -270,7 +276,7 @@ def to_json(value, pad: str = "\n") -> str:
     if not items:
         return "[]"
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return f"[{inner}{(',' + inner).join(items)}{pad}]"
 
 
 def _yesno(flag: bool) -> str:
@@ -351,23 +357,26 @@ def cmd_reducts(args) -> str:
     matroid = _load_matroid(args)
     ground = matroid.ground
     hyperplanes = matroid.hyperplane_masks()
-    complements = [ground.full_mask & ~h for h in hyperplanes]
     reducts = matroid.basis_masks()
-    # the three lists are joined as one, from one pair of half tables, and cut apart
-    k, masks = len(hyperplanes), [*hyperplanes, *complements, *reducts]
+    # hyperplanes, their complements and the bases are joined as one list, from
+    # one pair of half tables, and cut apart
+    k = len(hyperplanes)
+    masks = [*hyperplanes, *[ground.full_mask & ~h for h in hyperplanes], *reducts]
 
     if args.json:
-        runs = functools.cache(functools.partial(joined, ground.tokens, masks))
-        hyper, comp, bases = (
-            MemberLists(ground.tokens, cut, lambda _, part, sep: runs(sep)[part])
-            for cut in (slice(k), slice(k, 2 * k), slice(2 * k, None))
-        )
+        runs = {}
+
+        def cut(tokens, part, sep):  # one join per separator, shared by the three lists
+            if sep not in runs:
+                runs[sep] = joined(tokens, masks, sep)
+            return runs[sep][part]
+
         doc = {
             "universe": ground.elements,
             "rank": matroid.ground_rank,
-            "hyperplanes": hyper,
-            "complements": comp,
-            "reducts": bases,
+            "hyperplanes": MemberLists(ground.tokens, slice(k), cut),
+            "complements": MemberLists(ground.tokens, slice(k, 2 * k), cut),
+            "reducts": MemberLists(ground.tokens, slice(2 * k, None), cut),
         }
         return to_json(doc) + "\n"
 
